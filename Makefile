@@ -81,6 +81,8 @@ examples:
 	python examples/compression_explorer.py
 	python examples/trace_replay.py omnetpp 1500
 
+# The .sim_cache.json/.migrated/.corrupt.json files and .sim_cache.cas/
+# are only left by older revisions; removed so old working trees get clean.
 clean:
 	rm -f .sim_cache.json .sim_cache.json.migrated .sim_cache.corrupt.json
 	rm -rf .sim_cache.d .sim_cache.cas

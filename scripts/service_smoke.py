@@ -143,9 +143,8 @@ def main() -> int:
         health = daemon.client.healthz()
         check(health.get("status") == "ok", "healthz answers ok")
         check(
-            health.get("cache", {}).get("shards", 0) > 0
-            and health.get("content_store", {}).get("objects", 0) > 0,
-            "healthz surfaces result-cache and content-store stats",
+            health.get("cache", {}).get("shards", 0) > 0,
+            "healthz surfaces result-cache stats",
         )
         metrics = daemon.client.metrics()
         counters = metrics.get("counters", {})
@@ -331,6 +330,11 @@ def main() -> int:
             f"every file's spans resolve to the client root span ({root})",
         )
         _keep_artifact("stitched.chrome.json", stitched_out)
+
+        check(
+            not os.path.exists(os.path.join(workdir, ".sim_cache.cas")),
+            "the daemons kept one result store (no .sim_cache.cas/)",
+        )
 
         print("service-smoke: OK — daemon lifecycle held end to end")
         return 0

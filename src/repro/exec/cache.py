@@ -14,7 +14,8 @@ Layout (``root`` is ``<cache path>.d/``, e.g. ``.sim_cache.d/``)::
 
     .sim_cache.d/
         <sha256(key)[:32]>.json     one entry: {"key": ..., "result": ...}
-        <shard>.json.corrupt        quarantined unreadable entry files
+        <shard>.json.corrupt        quarantined unreadable or schema-drifted
+                                    entry files
 
 Each entry file is written with the same temp + fsync + rename discipline
 as before, so readers never observe a torn entry.  The store knows
@@ -283,6 +284,10 @@ class ShardedResultCache:
         except OSError:
             pass
 
+    def quarantine(self, key: str) -> None:
+        """Move ``key``'s entry aside as evidence (its payload is unusable)."""
+        self._quarantine(self.entry_path(key))
+
     def clear(self) -> None:
         """Delete every entry (and the directory, if then empty)."""
         if not self.root.is_dir():
@@ -296,22 +301,6 @@ class ShardedResultCache:
             self.root.rmdir()
         except OSError:
             pass  # quarantined files (or a racing writer) keep it alive
-
-    # -- migration -----------------------------------------------------------
-
-    def import_entries(self, entries: Dict[str, object]) -> int:
-        """Write each entry that is not already sharded; returns the count.
-
-        This is the one-time migration path from the monolithic cache file:
-        existing shard entries win (they are at least as fresh), so two
-        processes migrating concurrently converge on the same directory.
-        """
-        imported = 0
-        for key, result in entries.items():
-            if not self.exists(key):
-                self.write(key, result)
-                imported += 1
-        return imported
 
     # -- internals -----------------------------------------------------------
 

@@ -33,7 +33,6 @@ monkeypatched test state; ``spawn`` is the fallback elsewhere.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +54,7 @@ from repro.exec.supervisor import (
     ShutdownFlag,
     SupervisionReport,
     SupervisorPolicy,
+    _mp_context,
     _worker_init,
     supervise_pool,
     validate_result,
@@ -483,11 +483,6 @@ def _run_serial(
         if policy is not None or chaos is not None:
             runner_mod.set_run_executor(previous)
     return report
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def _run_pool(

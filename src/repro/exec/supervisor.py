@@ -76,6 +76,9 @@ class SupervisorPolicy:
 
 DEFAULT_SUPERVISOR = SupervisorPolicy()
 
+# How long pool teardown waits for a broken pool's own reaper thread.
+_REAP_TIMEOUT_S = 5.0
+
 
 @dataclass
 class SupervisionReport:
@@ -257,7 +260,9 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> Dict[int, Optional[int]]:
+def _terminate_pool(
+    pool: ProcessPoolExecutor, processes: Dict[int, object]
+) -> Dict[int, Optional[int]]:
     """Forcibly stop a pool whose workers cannot be trusted to return.
 
     Returns ``{pid: exitcode}`` for the pool's workers.  Exit codes are
@@ -266,16 +271,26 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> Dict[int, Optional[int]]:
     innocents terminated here (or by the pool's own broken-state cleanup)
     show ``-SIGTERM`` — so the supervisor can penalize only the job whose
     worker actually crashed.
+
+    ``processes`` is the pool's worker table, captured when the pool was
+    built (``shutdown`` drops the pool's own reference to it).  A broken
+    pool's manager thread reaps its workers concurrently with this
+    function; a ``waitpid`` racing it sees ``ECHILD`` and reads exit code
+    None, which would make the culprit look innocent.  So the exit codes
+    are read only after that thread has finished storing them.
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for process in processes:
+    workers = list(processes.values())
+    for process in workers:
         try:
             process.terminate()
         except Exception:  # noqa: BLE001 - already-dead processes etc.
             pass
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:
+        manager.join(_REAP_TIMEOUT_S)
     exit_codes: Dict[int, Optional[int]] = {}
-    for process in processes:
+    for process in workers:
         try:
             process.join(2.0)
             exit_codes[process.pid] = process.exitcode
@@ -399,6 +414,9 @@ def supervise_pool(
                 initializer=_worker_init,
                 initargs=(retry_policy, chaos),
             )
+            # the live worker table: filled on first submit, kept by
+            # reference for crash attribution after the pool is gone
+            processes = pool._processes
             futures: Dict[object, int] = {}
             broke = False
             broken_idx: List[int] = []
@@ -501,7 +519,7 @@ def supervise_pool(
                             break
             finally:
                 if broke or hung or futures:
-                    worker_exit = _terminate_pool(pool)
+                    worker_exit = _terminate_pool(pool, processes)
                 else:
                     pool.shutdown(wait=True)
 

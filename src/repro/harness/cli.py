@@ -38,7 +38,7 @@ to a fault-free run (see ``--chaos-seed`` / ``--chaos-rate``, or the
 ``cli serve`` turns the harness into a persistent sim-as-a-service
 daemon (one worker pool, one shared cache, many clients); ``cli submit``
 sends a campaign to a running daemon and streams its NDJSON progress;
-``cli cache-info`` prints result-cache and content-store statistics.
+``cli cache-info`` prints result-cache statistics.
 
 The telemetry plane rides on the same commands: ``submit --trace`` mints
 a trace context that the daemon and its workers join, ``trace stitch``
@@ -770,11 +770,6 @@ def _serve_command(argv: List[str]) -> int:
         help="ignore an existing checkpoint instead of resuming it",
     )
     parser.add_argument(
-        "--no-promote",
-        action="store_true",
-        help="skip promoting the shard cache into the content store",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -821,7 +816,6 @@ def _serve_command(argv: List[str]) -> int:
         grace=args.grace,
         checkpoint=Path(args.checkpoint),
         resume=not args.no_resume,
-        promote=not args.no_promote,
         slos=args.slo,
     )
     try:
@@ -1020,7 +1014,7 @@ def _top_command(argv: List[str]) -> int:
 
     Polls ``/healthz``, ``/metrics``, and ``/metrics/history`` and
     renders queue depth (with a history sparkline), per-client fairness,
-    worker utilization, cache/CAS hit rates, and every SLO's verdict.
+    worker utilization, cache hit rate, and every SLO's verdict.
     ``--once`` prints a single frame (scriptable); otherwise the screen
     refreshes every ``--interval`` seconds until Ctrl-C.
     """
@@ -1185,23 +1179,20 @@ def _slo_command(argv: List[str]) -> int:
 
 
 def _cache_info_command(argv: List[str]) -> int:
-    """``repro cache-info`` — result-cache and content-store statistics."""
+    """``repro cache-info`` — result-cache statistics."""
     import json
 
     from repro.harness import runner as runner_mod
-    from repro.service.store import ContentStore
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli cache-info",
-        description="Print result-cache and content-store statistics.",
+        description="Print result-cache statistics.",
     )
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     cache = runner_mod.cache_stats()
-    cas = ContentStore(runner_mod._CACHE_PATH.with_suffix(".cas")).stats()
     if args.json:
-        print(json.dumps({"cache": cache, "content_store": cas}, indent=2,
-                         sort_keys=True))
+        print(json.dumps({"cache": cache}, indent=2, sort_keys=True))
         return EXIT_OK
     print("result cache (sharded):")
     for name in ("root", "shards", "bytes", "quarantined_files", "hits",
@@ -1210,9 +1201,6 @@ def _cache_info_command(argv: List[str]) -> int:
                  "disk_cache_enabled"):
         if name in cache:
             print(f"  {name:20s} {cache[name]}")
-    print("content store (CAS):")
-    for name in ("root", "objects", "refs", "bytes", "quarantined"):
-        print(f"  {name:20s} {cas[name]}")
     return EXIT_OK
 
 

@@ -9,9 +9,9 @@ simulation campaigns.
 The disk cache is *sharded*: each entry lives in its own file under
 ``.sim_cache.d/`` (see :class:`repro.exec.cache.ShardedResultCache`), so
 the parallel scheduler's N worker processes can read and write results
-concurrently without clobbering each other.  A monolithic
-``.sim_cache.json`` left by an earlier revision is migrated into the
-shard directory once, then renamed aside.
+concurrently without clobbering each other.  It is the only result
+store: the CLI, its workers and the campaign daemon all read and write
+it the same way.
 """
 
 from __future__ import annotations
@@ -186,80 +186,12 @@ def _store() -> ShardedResultCache:
     return ShardedResultCache(_cache_dir())
 
 
-def _migrated_path() -> Path:
-    return _CACHE_PATH.with_name(_CACHE_PATH.name + ".migrated")
-
-
-def _quarantine_path() -> Path:
-    return _CACHE_PATH.with_suffix(".corrupt.json")
-
-
-def _quarantine_file() -> None:
-    """Move an unreadable cache file aside instead of silently ignoring it."""
-    try:
-        os.replace(_CACHE_PATH, _quarantine_path())
-    except OSError:
-        pass
-
-
-def _quarantine_entry(disk_key: str, entry: object) -> None:
-    """Append one schema-drifted entry to the quarantine file and drop it."""
-    _disk_store.pop(disk_key, None)
-    if _DISK_CACHE:
-        _store().remove(disk_key)  # keep it from resurrecting on next load
-    path = _quarantine_path()
-    try:
-        quarantined = {}
-        if path.exists():
-            try:
-                quarantined = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError):
-                quarantined = {}
-        if not isinstance(quarantined, dict):
-            quarantined = {}
-        quarantined[disk_key] = entry
-        path.write_text(json.dumps(quarantined))
-    except (OSError, TypeError):
-        pass
-
-
-def _migrate_monolithic() -> None:
-    """One-time import of a legacy monolithic ``.sim_cache.json``.
-
-    Valid entries are copied into the shard directory (existing shards
-    win, so concurrent migrations converge), then the monolithic file is
-    renamed aside.  A truncated or non-dict file is quarantined exactly
-    as before — the evidence survives, the cache starts fresh.
-    """
-    if not _CACHE_PATH.exists():
-        return
-    try:
-        loaded = json.loads(_CACHE_PATH.read_text())
-    except json.JSONDecodeError:
-        _quarantine_file()
-        return
-    except OSError:
-        return
-    if not isinstance(loaded, dict):
-        _quarantine_file()
-        return
-    try:
-        _store().import_entries(loaded)
-    except OSError:
-        return  # unwritable directory: leave the monolithic file in place
-    try:
-        os.replace(_CACHE_PATH, _migrated_path())
-    except OSError:
-        pass
-
-
 def _load_disk() -> None:
     global _disk_loaded
     if _disk_loaded or not _DISK_CACHE:
         _disk_loaded = True
         return
     _disk_loaded = True
-    _migrate_monolithic()
     _disk_store.update(_store().read_all())
 
 
@@ -328,9 +260,11 @@ def _lookup(key: Tuple, disk_key: str) -> Optional[SimResult]:
     try:
         result = _result_from_dict(entry)
     except CacheEntryError:
-        # Stale or corrupt entry: quarantine it and re-simulate rather
-        # than crashing mid-benchmark.
-        _quarantine_entry(disk_key, entry)
+        # Stale or corrupt entry: move its shard aside as evidence (the
+        # same rename a torn shard gets) and re-simulate rather than
+        # crashing mid-benchmark.
+        _disk_store.pop(disk_key, None)
+        _store().quarantine(disk_key)
         return None
     _memory_cache[key] = result
     return result
@@ -411,9 +345,6 @@ def clear_cache(disk: bool = False) -> None:
         _disk_store.clear()
         _disk_loaded = False  # a later lookup re-scans (now empty) shards
         _store().clear()
-        for path in (_CACHE_PATH, _migrated_path()):
-            if path.exists():
-                path.unlink()
 
 
 def invalidate(

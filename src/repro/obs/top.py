@@ -134,18 +134,6 @@ def render_dashboard(
             f"hit rate {_pct(rate).strip()} · {cache.get('shards', 0)} shards"
         )
 
-    store = health.get("content_store")
-    if isinstance(store, dict):
-        hits = store.get("get_hits", 0)
-        misses = store.get("get_misses", 0)
-        rate = hit_rate(hits, (hits or 0) + (misses or 0))
-        lines.append(
-            f"cas      {store.get('objects', 0)} objects · "
-            f"{store.get('refs', 0)} refs · "
-            f"hit rate {_pct(rate).strip()} · "
-            f"{store.get('quarantined', 0)} quarantined"
-        )
-
     slo = health.get("slo")
     if isinstance(slo, dict):
         verdict = "OK" if slo.get("ok") else "FAILING"

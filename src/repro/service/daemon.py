@@ -2,8 +2,8 @@
 
 One long-lived process turns the exec engine into shared infrastructure:
 many clients submit campaigns over HTTP, one supervised worker pool runs
-the misses, and one content-addressed result store answers repeats in
-microseconds.  The contract, endpoint by endpoint:
+the misses, and the same sharded result store the CLI and its workers
+write (``.sim_cache.d/``) answers repeats in microseconds.  The contract, endpoint by endpoint:
 
 * ``POST /campaigns`` — submit experiment names and/or raw workload ×
   config jobs.  The planner dedupes within the submission; the service
@@ -16,8 +16,8 @@ microseconds.  The contract, endpoint by endpoint:
   interleaved with rolling :class:`~repro.exec.progress.ProgressSnapshot`
   heartbeats (ops/s, p50/p95 wall-clock) — the same struct the CLI
   progress line renders, so local and remote progress cannot drift.
-* ``GET /healthz`` / ``GET /metrics`` — result-cache + content-store
-  stats, and the full ``service.*`` metrics registry.
+* ``GET /healthz`` / ``GET /metrics`` — result-cache stats, and the
+  full ``service.*`` metrics registry.
 * SIGTERM (or ``POST /drain``) — graceful drain: stop admitting, give
   in-flight jobs a grace window (each persists its own cache shard),
   checkpoint the specs of unfinished campaigns, exit 0.  A restarted
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import secrets
 import time
 from collections import deque
@@ -45,8 +44,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.exec.job import Job
-from repro.exec.scheduler import _execute_job, _mp_context, resolve_jobs
-from repro.exec.supervisor import validate_result
+from repro.exec.scheduler import _execute_job, resolve_jobs
+from repro.exec.supervisor import _mp_context, validate_result
 from repro.harness import runner as runner_mod
 from repro.obs import slo as slo_mod
 from repro.obs import telemetry
@@ -65,7 +64,6 @@ from repro.service.state import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.service.store import ContentStore
 from repro.sim.engine import SimulationParams
 from repro.sim.metrics import SimResult
 
@@ -83,7 +81,6 @@ class ServiceConfig:
     grace: float = 10.0  # drain: seconds in-flight jobs may finish in
     checkpoint: Path = DEFAULT_CHECKPOINT
     resume: bool = True
-    promote: bool = True  # promote the shard store into the content store
     slos: Optional[List[str]] = None  # extra SLO specs beyond the defaults
     history_capacity: int = 512  # time-series ring-buffer depth
 
@@ -100,9 +97,6 @@ class SimService:
         self.workers = resolve_jobs(self.config.workers)
         self.registry = obs.MetricsRegistry()
         self.campaigns: Dict[str, CampaignState] = {}
-        self.store = ContentStore(
-            runner_mod._CACHE_PATH.with_suffix(".cas")
-        )
         self._queues: Dict[str, Deque[Job]] = {}
         self._rr: Deque[str] = deque()  # client round-robin order
         self._runs: Dict[str, "_SharedRun"] = {}
@@ -182,17 +176,13 @@ class SimService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind, spin up the pool, promote the cache, resume checkpoints."""
+        """Bind, spin up the pool, resume checkpoints."""
         self._slots = asyncio.Semaphore(self.workers)
         self._wakeup = asyncio.Event()
         self._stopped = asyncio.Event()
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers, mp_context=_mp_context()
         )
-        if self.config.promote:
-            promoted = self.store.promote(runner_mod._store().read_all())
-            if promoted > 0:
-                self.registry.counter("service.store.promoted").inc(promoted)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -285,25 +275,6 @@ class SimService:
         self._seq += 1
         return f"c{self._seq:04d}-{secrets.token_hex(3)}"
 
-    def _lookup_cached(self, job: Job) -> Optional[SimResult]:
-        """Result cache, then content store (backfilling the former)."""
-        hit = job.peek()
-        if hit is not None:
-            return hit
-        disk_key = json.dumps(job.cache_key)
-        payload = self.store.get(disk_key)
-        if payload is None:
-            return None
-        try:
-            result = runner_mod._result_from_dict(payload)
-        except runner_mod.CacheEntryError:
-            return None  # schema drift: re-simulate rather than serve it
-        runner_mod.seed_cache(
-            job.workload, job.config_name, result,
-            scale=job.scale, params=job.params,
-        )
-        return result
-
     def _retry_after(self) -> int:
         """Honest backpressure hint: queue depth over drain rate."""
         depth = sum(len(q) for q in self._queues.values())
@@ -340,7 +311,7 @@ class SimService:
             if job.job_id in self._runs:
                 inflight.append(job)
                 continue
-            hit = self._lookup_cached(job)
+            hit = job.peek()
             if hit is not None:
                 cached[job.job_id] = hit
             else:
@@ -565,7 +536,6 @@ class SimService:
                 scale=job.scale, params=job.params,
             )
             payload = _result_payload(result)
-            self.store.put(json.dumps(job.cache_key), payload)
             self._m_executed.inc()
             manifest = payload.get("manifest") or {}
             elapsed = manifest.get("elapsed_s")
@@ -965,7 +935,6 @@ class SimService:
             },
             "campaigns": by_status,
             "cache": runner_mod.cache_stats(),
-            "content_store": self.store.stats(),
             "slo": self._slo_payload(),
         }
 

@@ -1,5 +1,5 @@
 """Tests for disk-cache safety: sharded entries, atomic writes, quarantine,
-legacy-file migration, and concurrent-writer merge semantics."""
+and concurrent-writer merge semantics."""
 
 from __future__ import annotations
 
@@ -84,6 +84,17 @@ class TestShardedSave:
         cached_run("sphinx", "base", scale=65536, params=PARAMS)
         assert counter == [1]  # served from disk, not re-simulated
 
+    def test_store_write_read_roundtrip(self, isolated_cache):
+        from repro.exec.cache import ShardedResultCache
+
+        result = {"cycles": 12.5, "ipc": [0.25, 0.5], "name": "sphinx"}
+        runner_mod._store().write("key-a", result)
+        # a second store object on the same directory (another process)
+        reader = ShardedResultCache(_shard_dir(isolated_cache))
+        assert reader.read("key-a") == result
+        assert reader.read_all() == {"key-a": result}
+        assert reader.read("key-b") is None
+
     def test_entry_written_by_concurrent_process_is_found(
         self, isolated_cache, monkeypatch
     ):
@@ -127,58 +138,12 @@ class TestConcurrentWriters:
         assert len(_entry_files(isolated_cache)) == 1
 
 
-class TestMigration:
-    def _monolithic_payload(self):
-        result = run_workload(
-            "sphinx", runner_mod.resolve_config("base", 65536), PARAMS
-        )
-        key = runner_mod._key("sphinx", "base", 65536, PARAMS)
-        return result, {json.dumps(key): runner_mod._result_to_dict(result)}
-
-    def test_legacy_monolithic_cache_is_migrated_once(self, isolated_cache):
-        result, payload = self._monolithic_payload()
-        isolated_cache.write_text(json.dumps(payload))
-        counter = []
-        set_run_executor(_counting_executor(counter))
-        assert cached_run("sphinx", "base", scale=65536, params=PARAMS) == result
-        assert counter == []  # migrated entry was honoured
-        assert not isolated_cache.exists()  # moved aside, not duplicated
-        assert isolated_cache.with_name(".sim_cache.json.migrated").exists()
-        assert len(_entry_files(isolated_cache)) == 1
-
-    def test_existing_shards_win_over_monolithic(self, isolated_cache):
-        _result, payload = self._monolithic_payload()
-        (disk_key, entry), = payload.items()
-        newer = dict(entry, cycles=entry["cycles"] + 1.0)
-        runner_mod._store().write(disk_key, newer)
-        isolated_cache.write_text(json.dumps(payload))
-        runner_mod._load_disk()
-        assert runner_mod._disk_store[disk_key]["cycles"] == newer["cycles"]
-
-
 class TestCorruptFileRecovery:
-    def test_truncated_legacy_file_is_quarantined(self, isolated_cache):
-        isolated_cache.write_text('{"half-written entry": ')
-        counter = []
-        set_run_executor(_counting_executor(counter))
-        result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        assert result.workload == "sphinx"
-        assert counter == [1]  # fell back to simulating
-        quarantine = isolated_cache.parent / ".sim_cache.corrupt.json"
-        assert quarantine.exists()  # the evidence survives
-
-    def test_non_dict_legacy_payload_is_quarantined(self, isolated_cache):
-        isolated_cache.write_text(json.dumps(["not", "a", "dict"]))
-        counter = []
-        set_run_executor(_counting_executor(counter))
-        cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        assert counter == [1]
-        assert (isolated_cache.parent / ".sim_cache.corrupt.json").exists()
-
     def test_recovered_cache_works_after_quarantine(self, isolated_cache, monkeypatch):
+        # a garbage file left at the pre-sharding cache path is ignored
         isolated_cache.write_text("garbage")
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        # the rewritten (sharded) cache must be healthy again
+        # the sharded cache must be healthy
         counter = []
         set_run_executor(_counting_executor(counter))
         _fresh_process(monkeypatch)
@@ -200,15 +165,46 @@ class TestCorruptFileRecovery:
         quarantined = list(_shard_dir(isolated_cache).glob("*.corrupt"))
         assert quarantined  # evidence kept
 
+    def test_shard_holding_another_key_is_quarantined_and_missed(
+        self, isolated_cache
+    ):
+        store = runner_mod._store()
+        store.write("key-a", {"cycles": 1.0})
+        # a shard whose payload names a different key (hash collision or
+        # a foreign file under the right name) must not be served
+        store.entry_path("key-b").write_text(
+            json.dumps({"key": "key-a", "result": {"cycles": 1.0}})
+        )
+        assert store.read("key-b") is None
+        evidence = store.entry_path("key-b").with_suffix(".json.corrupt")
+        assert evidence.exists()
+        assert not store.entry_path("key-b").exists()
+        assert store.read("key-a") == {"cycles": 1.0}
+
+    def test_non_object_shard_is_quarantined_and_missed(self, isolated_cache):
+        store = runner_mod._store()
+        store.write("key-a", {"cycles": 1.0})
+        # parseable JSON that is not a {"key", "result"} object
+        store.entry_path("key-a").write_text(json.dumps(["key-a", 1.0]))
+        assert store.read("key-a") is None
+        assert store.entry_path("key-a").with_suffix(".json.corrupt").exists()
+        assert not store.entry_path("key-a").exists()
+
+    def test_torn_shard_is_quarantined_by_preload_and_others_kept(
+        self, isolated_cache
+    ):
+        store = runner_mod._store()
+        store.write("key-a", {"cycles": 1.0})
+        store.write("key-b", {"cycles": 2.0})
+        store.entry_path("key-b").write_text('{"key": "key-b", "res')
+        assert store.read_all() == {"key-a": {"cycles": 1.0}}
+        evidence = store.entry_path("key-b").with_suffix(".json.corrupt")
+        assert evidence.read_text() == '{"key": "key-b", "res'
+        assert store.read("key-b") is None
+        assert store.read("key-a") == {"cycles": 1.0}
+
 
 class TestSchemaDrift:
-    def _store_bad_entry(self, entry):
-        key = runner_mod._key("sphinx", "base", 65536, PARAMS)
-        disk_key = json.dumps(key)
-        runner_mod._disk_store[disk_key] = entry
-        runner_mod._disk_loaded = True
-        return disk_key
-
     def test_unknown_field_raises_cache_entry_error(self):
         with pytest.raises(CacheEntryError):
             _result_from_dict({"workload": "x", "from_the_future": 1})
@@ -221,22 +217,31 @@ class TestSchemaDrift:
         with pytest.raises(CacheEntryError):
             _result_from_dict([1, 2, 3])
 
-    def test_drifted_entry_quarantined_and_resimulated(self, isolated_cache):
+    def test_drifted_entry_quarantined_and_resimulated(
+        self, isolated_cache, monkeypatch
+    ):
         bad = {"workload": "sphinx", "field_from_old_version": 42}
-        disk_key = self._store_bad_entry(bad)
+        key = runner_mod._key("sphinx", "base", 65536, PARAMS)
+        disk_key = json.dumps(key)
         runner_mod._store().write(disk_key, bad)
+        (shard,) = _entry_files(isolated_cache)
         counter = []
         set_run_executor(_counting_executor(counter))
+        _fresh_process(monkeypatch)
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
         assert result.workload == "sphinx"
         assert counter == [1]  # drifted entry was NOT trusted
-        quarantined = json.loads(
-            (isolated_cache.parent / ".sim_cache.corrupt.json").read_text()
-        )
-        assert quarantined[disk_key] == bad  # preserved for inspection
-        # and neither the store nor the shard file carries the bad entry
-        assert runner_mod._disk_store.get(disk_key) != bad
+        # the shard store's own quarantine kept the evidence beside it
+        evidence = shard.with_name(shard.name + ".corrupt")
+        assert json.loads(evidence.read_text()) == {
+            "key": disk_key, "result": bad,
+        }
+        # no readable shard, and no later process, sees the bad entry
+        assert bad not in runner_mod._store().read_all().values()
         assert runner_mod._store().read(disk_key) != bad
+        _fresh_process(monkeypatch)
+        assert cached_run("sphinx", "base", scale=65536, params=PARAMS) == result
+        assert counter == [1]  # the re-simulated entry is served
 
     def test_roundtrip_still_works(self, isolated_cache):
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.harness.runner as runner_mod
@@ -319,3 +321,16 @@ class TestRepetitionsFlag:
         assert all(
             line.split(",")[3] == "0" for line in text.splitlines()[1:]
         )
+
+
+def test_cache_info_json_reports_the_one_result_store(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(runner_mod, "_CACHE_PATH", tmp_path / ".sim_cache.json")
+    runner_mod._store().write("some-key", {"cycles": 1.0})
+    assert main(["cache-info", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"cache"}  # no second (content-addressed) store
+    assert doc["cache"]["shards"] == 1
+    assert doc["cache"]["bytes"] > 0
+    assert doc["cache"]["root"] == str(tmp_path / ".sim_cache.d")

@@ -10,7 +10,9 @@ The load-bearing assertions mirror the service's contract:
   worker pool;
 * drain checkpoints unfinished campaigns and a restarted daemon resumes
   them bit-identically;
-* a full queue answers 429 + Retry-After instead of buffering.
+* a full queue answers 429 + Retry-After instead of buffering;
+* the daemon serves from the same sharded result store the CLI writes,
+  and keeps no second copy of it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import time
 import pytest
 
 import repro.harness.runner as runner_mod
+from repro.exec.job import make_job
 from repro.exec.progress import ProgressSnapshot
+from repro.exec.scheduler import run_jobs
 from repro.harness.runner import set_run_executor
 from repro.service import ServiceConfig, SimService
 from repro.service.client import ServiceClient, ServiceError
@@ -201,6 +205,83 @@ class TestWarmResubmission:
         assert again["results"] == first["results"]
 
 
+class TestSingleResultStore:
+    JOBS = (("bc_twi", "base"), ("bc_twi", "dice"), ("mix1", "base"))
+
+    def _jobs(self):
+        params = SimulationParams(accesses_per_core=120, seed=9)
+        return [make_job(wl, cfg, params=params) for wl, cfg in self.JOBS]
+
+    def test_campaign_results_are_pure_hits_for_a_fresh_daemon(
+        self, isolated_cache, tmp_path
+    ):
+        outcomes = run_jobs(self._jobs(), max_workers=2)
+        assert all(o.ok for o in outcomes)
+        assert runner_mod.cache_stats()["shards"] == len(self.JOBS)
+        runner_mod.drop_memory_state()  # the daemon starts from disk only
+        handle = DaemonHandle(
+            ServiceConfig(
+                port=0, workers=2, checkpoint=tmp_path / "ckpt.json"
+            )
+        ).start()
+        try:
+            submitted = handle.client.submit(
+                jobs=_specs(*self.JOBS), client="fresh"
+            )
+            assert submitted["status"] == "completed"
+            assert submitted["cached"] == len(self.JOBS)
+            assert submitted["queued"] == 0
+            counters = handle.counters()
+            assert counters.get("service.jobs.executed", 0) == 0
+            served = handle.client.results(str(submitted["id"]))["results"]
+            assert len(served) == len(self.JOBS)
+            by_cell = {
+                (o.job.workload, o.job.config_name): o.result
+                for o in outcomes
+            }
+            for payload in served.values():
+                manifest = payload["manifest"]
+                assert runner_mod._result_from_dict(payload) == by_cell[
+                    (manifest["workload"], manifest["config"])
+                ]
+        finally:
+            handle.drain()
+        assert not isolated_cache.with_suffix(".cas").exists()
+
+    def test_invalidated_cell_is_resimulated_on_resubmission(
+        self, daemon, isolated_cache
+    ):
+        first = daemon.client.run_campaign(
+            jobs=_specs(*self.JOBS), client="inval"
+        )
+        assert first["final"]["status"] == "completed"
+        executed = daemon.counters()["service.jobs.executed"]
+        assert executed == len(self.JOBS)
+        runner_mod.invalidate(
+            "bc_twi", "dice",
+            params=SimulationParams(accesses_per_core=120, seed=9),
+        )
+        second = daemon.client.submit(jobs=_specs(*self.JOBS), client="inval")
+        assert second["cached"] == len(self.JOBS) - 1
+        assert second["queued"] == 1
+        events = list(daemon.client.events(str(second["id"])))
+        assert events[-1]["status"] == "completed"
+        rerun = [
+            e for e in events if e["event"] == "job" and e["source"] == "run"
+        ]
+        assert [e["label"] for e in rerun] == ["bc_twi × dice"]
+        assert daemon.counters()["service.jobs.executed"] == executed + 1
+        again = daemon.client.results(str(second["id"]))["results"]
+        # same simulated numbers; the manifest's wall-clock fields
+        # (elapsed_s, wall_clock_utc) differ between runs of one cell
+        assert again.keys() == first["results"].keys()
+        for job_id, payload in again.items():
+            assert runner_mod._result_from_dict(
+                payload
+            ) == runner_mod._result_from_dict(first["results"][job_id])
+        assert not isolated_cache.with_suffix(".cas").exists()
+
+
 class TestStreamingAndIntrospection:
     def test_ndjson_stream_shape(self, daemon):
         jobs = _specs(("cc_web", "base"), ("cc_web", "dice"))
@@ -229,7 +310,7 @@ class TestStreamingAndIntrospection:
         assert health["cache"]["shards"] == 1
         for counter in ("hits", "misses", "write_errors"):
             assert counter in health["cache"]
-        assert health["content_store"]["objects"] == 1
+        assert "content_store" not in health
         assert health["campaigns"] == {"completed": 1}
         metrics = daemon.client.metrics()
         assert metrics["counters"]["service.campaigns.completed"] == 1

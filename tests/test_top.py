@@ -14,10 +14,6 @@ HEALTH = {
     "max_queue": 64,
     "clients": {"smoke": 3},
     "cache": {"hits": 10, "misses": 10, "shards": 4},
-    "content_store": {
-        "objects": 7, "refs": 9, "get_hits": 3, "get_misses": 1,
-        "quarantined": 0,
-    },
     "slo": {
         "ok": True,
         "results": [
@@ -84,7 +80,8 @@ class TestRenderDashboard:
         assert "20 total · 15 executed · 4 cached" in frame
         assert "dedupe 25%" in frame
         assert "cache    10 hits · 10 misses · hit rate 50%" in frame
-        assert "cas      7 objects · 9 refs · hit rate 75%" in frame
+        assert "4 shards" in frame
+        assert "cas " not in frame
         assert "slo      OK" in frame
         assert "✓ ok" in frame
         assert "· no data" in frame
