@@ -8,10 +8,16 @@ install:
 test:
 	python -m pytest tests/
 
-# Tier-1 gate plus a fast fault-injection smoke of the CLI.
+# Tier-1 gate plus a fast fault-injection smoke of the CLI, and a
+# deadline smoke: at one worker and the default accesses every fig13 cell
+# outlives a 0.1 s --deadline, so the run must exit 3 with watchdog kills.
 check:
 	PYTHONPATH=src python -m pytest tests/ -x -q
 	REPRO_DISK_CACHE=0 PYTHONPATH=src python -m repro.harness.cli faults --accesses 500
+	err=$$(REPRO_DISK_CACHE=0 PYTHONPATH=src python -m repro.harness.cli \
+		fig13 --jobs 1 --deadline 0.1 2>&1 >/dev/null); status=$$?; \
+	echo "$$err" | tail -n 3; \
+	test $$status -eq 3 && echo "$$err" | grep -q "watchdog kill"
 
 # Self-verifying chaos campaign: seeded faults at every exec seam, then
 # assert results bit-identical to a fault-free reference run.

@@ -157,9 +157,8 @@ def install_executor_chaos() -> None:
     """Wrap the harness run-executor with the crash/hang/corrupt seams.
 
     Idempotent; installed by the pool worker initializer (and by the
-    scheduler for serial runs).  The wrapper sits *outside* the retry
-    executor, so a crash kills the worker before any retry bookkeeping —
-    exactly like a real segfault would.
+    scheduler for serial runs).  A crash kills the worker mid-run, before
+    any result reaches the cache — exactly like a real segfault would.
     """
     from repro.harness import runner as runner_mod
 

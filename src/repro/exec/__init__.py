@@ -8,10 +8,11 @@ loop into a sharded, resumable, deterministic fan-out:
 * :mod:`repro.exec.planner` — expands experiments into a deduped job
   list in deterministic order;
 * :mod:`repro.exec.scheduler` — the ``ProcessPoolExecutor`` worker pool,
-  with per-job retry/timeout and drain-on-failure semantics;
-* :mod:`repro.exec.supervisor` — watchdog deadlines, broken-pool
-  rebuild + requeue, poison-job quarantine, result validation, and
-  graceful SIGTERM/SIGINT shutdown around the pool;
+  with drain-on-failure semantics;
+* :mod:`repro.exec.supervisor` — the one time and retry budget
+  (``SupervisorPolicy``): watchdog deadlines, broken-pool rebuild +
+  requeue, poison-job quarantine, result validation, and graceful
+  SIGTERM/SIGINT shutdown around the pool;
 * :mod:`repro.exec.cache` — the concurrency-safe sharded result store
   backing the harness result cache, with per-shard write circuit
   breakers;

@@ -7,21 +7,25 @@ bit-identical to serial ones: every job is a deterministic function of
 its cache key, and only the completion *order* — which nothing downstream
 observes — varies between runs.
 
-Resilience is per job, not per campaign: each worker applies the
-campaign layer's :class:`~repro.harness.campaign.RetryPolicy`
-(per-attempt timeout, exponential-backoff retries) around its own
-simulation, and every finished job persists through the sharded result
-cache immediately, so a killed campaign resumes at the granularity of
-single (workload, config) pairs.  A failing job never aborts the pool:
-the scheduler drains the remaining jobs and reports every failure, so
-one bad configuration costs one table, not the whole campaign.
+Resilience is per job, not per campaign: every finished job persists
+through the sharded result cache immediately, so a killed campaign
+resumes at the granularity of single (workload, config) pairs.  A
+failing job never aborts the pool: the scheduler drains the remaining
+jobs and reports every failure, so one bad configuration costs one
+table, not the whole campaign.  A job that raises is not retried — a
+simulation is a deterministic function of its cache key, so a second
+try would only repeat the exception.
 
-The pool path runs under :mod:`repro.exec.supervisor`: per-job
-wall-clock deadlines with watchdog cancellation, ``BrokenProcessPool``
-recovery (rebuild the pool, requeue the in-flight jobs), poison-job
-quarantine after repeated failed attempts, corrupt-payload detection
-with cache invalidation, and SIGTERM/SIGINT graceful drain.  Incidents
-surface as ``exec.supervisor.*`` metrics and events; the
+One :class:`~repro.exec.supervisor.SupervisorPolicy` (``deadline``,
+``max_attempts``) is the only time and retry budget.  The pool path runs
+under :mod:`repro.exec.supervisor`: per-job wall-clock deadlines with
+watchdog cancellation, ``BrokenProcessPool`` recovery (rebuild the pool,
+requeue the in-flight jobs), poison-job quarantine after repeated failed
+attempts, corrupt-payload detection with cache invalidation, and
+SIGTERM/SIGINT graceful drain.  A deadline needs a process it can kill,
+so a campaign with one runs on the supervised pool even at one worker;
+without one, ``--jobs 1`` runs in-process as the reference path.
+Incidents surface as ``exec.supervisor.*`` metrics and events; the
 :class:`~repro.exec.supervisor.SupervisionReport` of the last run is
 available via :func:`last_report`.
 
@@ -55,7 +59,6 @@ from repro.exec.supervisor import (
     SupervisionReport,
     SupervisorPolicy,
     _mp_context,
-    _worker_init,
     supervise_pool,
     validate_result,
 )
@@ -210,6 +213,8 @@ class _Tracker:
 
     def step(self, outcome: JobOutcome) -> None:
         label = outcome.job.describe()
+        if outcome.source != "cache" and outcome.attempts > 1:
+            self._retried.inc(outcome.attempts - 1)
         if outcome.ok:
             self._done.inc()
         else:
@@ -219,8 +224,6 @@ class _Tracker:
             elapsed = manifest.get("elapsed_s")
             if isinstance(elapsed, (int, float)):
                 self._wall_ms.record(max(0, int(elapsed * 1000)))
-            if isinstance(manifest.get("attempts"), int) and manifest["attempts"] > 1:
-                self._retried.inc(manifest["attempts"] - 1)
         if self.tracer.enabled:
             ts = self._now_us()
             if not outcome.ok:
@@ -241,11 +244,10 @@ class _Tracker:
                     if isinstance(elapsed, (int, float))
                     else 1
                 )
-                attempts = manifest.get("attempts")
-                if isinstance(attempts, int) and attempts > 1:
+                if outcome.attempts > 1:
                     self.tracer.instant(
                         "job.retried", "exec", max(0, ts - dur),
-                        job=label, attempts=attempts,
+                        job=label, attempts=outcome.attempts,
                     )
                 self.tracer.span(
                     "job.done", "exec", max(0, ts - dur), dur, job=label,
@@ -269,7 +271,6 @@ def run_jobs(
     jobs: Sequence[Job],
     *,
     max_workers: Optional[int] = None,
-    policy=None,
     progress: Optional[Callable[[ProgressSnapshot], None]] = None,
     supervisor: Optional[SupervisorPolicy] = None,
     chaos: Optional[ChaosPolicy] = None,
@@ -279,14 +280,15 @@ def run_jobs(
 
     Returns one :class:`JobOutcome` per input job **in input order**,
     regardless of completion order.  Jobs already satisfied by the result
-    cache are served without touching the pool.  Failed jobs (after the
-    policy's retries) yield ``error`` outcomes while the rest of the pool
-    drains normally; jobs that keep killing their workers are quarantined
-    per ``supervisor``.  When ``shutdown`` trips mid-campaign the drain
-    stops gracefully and unfinished jobs are simply omitted from the
-    outcome list (their cache entries were never written, so a rerun
-    resumes them).  ``chaos`` arms deterministic fault injection — see
-    :mod:`repro.chaos`.
+    cache are served without touching the pool.  Failed jobs yield
+    ``error`` outcomes while the rest of the pool drains normally; jobs
+    that keep crashing, hanging past ``supervisor.deadline``, or returning
+    corrupt payloads are quarantined after ``supervisor.max_attempts``.
+    A deadline runs the supervised pool even for one worker.  When
+    ``shutdown`` trips mid-campaign the drain stops gracefully and
+    unfinished jobs are simply omitted from the outcome list (their cache
+    entries were never written, so a rerun resumes them).  ``chaos`` arms
+    deterministic fault injection — see :mod:`repro.chaos`.
     """
     global _LAST_REPORT
     jobs = list(jobs)
@@ -337,14 +339,14 @@ def run_jobs(
     try:
         if not pending:
             tracker.emit()
-        elif workers <= 1:
+        elif workers <= 1 and supervisor.deadline is None:
             report = _run_serial(
-                jobs, pending, outcomes, policy, tracker,
+                jobs, pending, outcomes, tracker,
                 supervisor=supervisor, chaos=chaos, shutdown=shutdown,
             )
         else:
             report = _run_pool(
-                jobs, pending, outcomes, policy, tracker, workers,
+                jobs, pending, outcomes, tracker, workers,
                 supervisor=supervisor, chaos=chaos, shutdown=shutdown,
             )
     finally:
@@ -408,23 +410,19 @@ def _record(outcomes, i, job, result, error, source=None, attempts=1) -> JobOutc
 
 
 def _run_serial(
-    jobs, pending, outcomes, policy, tracker,
+    jobs, pending, outcomes, tracker,
     *, supervisor=DEFAULT_SUPERVISOR, chaos=None, shutdown=None,
 ) -> SupervisionReport:
-    """In-process execution (``--jobs 1``): the reference serial semantics.
+    """In-process execution (``--jobs 1``, no deadline): the reference
+    serial semantics.
 
     The supervisor's process-level recoveries do not apply here (there
-    is no worker to crash), but result validation, corrupt-payload
+    is no worker to crash or kill), but result validation, corrupt-payload
     invalidation/retry, quarantine, and graceful shutdown all do — so
     ``--jobs 1`` and ``--jobs N`` campaigns make identical promises.
     """
-    from repro.harness.campaign import make_resilient_executor
-
     report = SupervisionReport()
     registry = tracker.registry
-    previous = runner_mod._run_executor
-    if policy is not None:
-        runner_mod.set_run_executor(make_resilient_executor(policy, base=previous))
     if chaos is not None:
         chaos_controller.configure(chaos)
         chaos_controller.install_executor_chaos()
@@ -480,13 +478,11 @@ def _run_serial(
         if chaos is not None:
             chaos_controller.uninstall_executor_chaos()
             chaos_controller.deactivate()
-        if policy is not None or chaos is not None:
-            runner_mod.set_run_executor(previous)
     return report
 
 
 def _run_pool(
-    jobs, pending, outcomes, policy, tracker, workers,
+    jobs, pending, outcomes, tracker, workers,
     *, supervisor=DEFAULT_SUPERVISOR, chaos=None, shutdown=None,
 ) -> SupervisionReport:
     """Pool execution, supervised: crashes, hangs, and poison jobs are
@@ -501,7 +497,7 @@ def _run_pool(
 
     return supervise_pool(
         jobs, pending, tracker, workers,
-        retry_policy=policy, supervisor=supervisor, chaos=chaos,
+        supervisor=supervisor, chaos=chaos,
         shutdown=shutdown, record=record,
     )
 

@@ -214,12 +214,8 @@ def validate_result(result) -> Optional[str]:
 # worker-side entry points (top level: picklable under spawn)
 
 
-def _worker_init(policy, chaos_policy: Optional[ChaosPolicy] = None) -> None:
-    """Install the retry policy and (if any) the chaos seams in a worker."""
-    if policy is not None:
-        from repro.harness.campaign import install_retry_executor
-
-        install_retry_executor(policy)
+def _worker_init(chaos_policy: Optional[ChaosPolicy] = None) -> None:
+    """Install the chaos seams (if any) in a worker."""
     if chaos_policy is not None:
         chaos_controller.configure(chaos_policy)
         chaos_controller.install_executor_chaos()
@@ -315,7 +311,6 @@ def supervise_pool(
     tracker,
     workers: int,
     *,
-    retry_policy=None,
     supervisor: SupervisorPolicy = DEFAULT_SUPERVISOR,
     chaos: Optional[ChaosPolicy] = None,
     shutdown: Optional[ShutdownFlag] = None,
@@ -412,7 +407,7 @@ def supervise_pool(
                 max_workers=min(workers, len(queue)),
                 mp_context=_mp_context(),
                 initializer=_worker_init,
-                initargs=(retry_policy, chaos),
+                initargs=(chaos,),
             )
             # the live worker table: filled on first submit, kept by
             # reference for crash attribution after the pool is gone

@@ -6,7 +6,7 @@ Usage::
     python -m repro.harness.cli fig10
     python -m repro.harness.cli table4 --accesses 8000
     python -m repro.harness.cli faults --fault-rate 3e13 --ecc secded
-    python -m repro.harness.cli all --timeout 900 --retries 2 --jobs 8
+    python -m repro.harness.cli all --deadline 900 --jobs 8
     python -m repro.harness.cli fig10 --trace /tmp/dice-trace.jsonl
     python -m repro.harness.cli fig10 --profile /tmp/dice.prof.json
     python -m repro.harness.cli trace summarize /tmp/dice-trace.jsonl
@@ -24,11 +24,14 @@ configurations with the first is nearly instant.  ``all`` checkpoints its
 progress: a killed campaign resumes from the last completed experiment
 (pass ``--no-resume`` to start over).
 
-Simulations fan out across worker processes: ``--jobs N`` (default: the
+Every command plans the simulations it needs and runs them before the
+tables are rendered serially from the cache.  ``--jobs N`` (default: the
 ``REPRO_JOBS`` environment variable, else the machine's CPU count) runs
-the planned simulations N-wide before the tables are rendered serially,
-so parallel output is bit-identical to ``--jobs 1``.  A progress line
-(jobs done/running/failed plus ETA) is written to stderr.
+them N-wide, so parallel output is bit-identical to ``--jobs 1``.  A
+progress line (jobs done/running/failed plus ETA) is written to stderr.
+``--deadline S`` is the one time bound: a simulation past it is
+watchdog-killed and retried, then quarantined (it runs on a killable
+worker process even at ``--jobs 1``).
 
 ``cli chaos`` runs the self-verifying chaos campaign: seeded faults are
 injected at every exec seam and the final results asserted bit-identical
@@ -48,12 +51,12 @@ merges their per-process JSONL files into one chrome://tracing document,
 objectives (exit 6 when one is failing or burning its budget).
 
 Exit codes: 0 success, 2 usage error (unknown experiment/flag), 3 a
-simulation failed after all retries (remaining jobs are still drained
-and cached, so a re-run only repeats the failures), 4 the fidelity
-scoreboard drifted out of its tolerance band (``report --flight
---check``), 5 the campaign was interrupted (SIGTERM/SIGINT) and stopped
-gracefully at a resumable checkpoint, 6 an SLO check failed (``slo
-check``).
+simulation failed or was quarantined, named on stderr (remaining jobs
+are still drained and cached, so a re-run only repeats the failures),
+4 the fidelity scoreboard drifted out of its tolerance band (``report
+--flight --check``), 5 the campaign was interrupted (SIGTERM/SIGINT) and
+stopped gracefully at a resumable checkpoint, 6 an SLO check failed
+(``slo check``).
 """
 
 from __future__ import annotations
@@ -62,14 +65,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.harness.campaign import (
-    Campaign,
-    RetryPolicy,
-    SimulationFailed,
-    SimulationTimeout,
-    install_retry_executor,
-    prefetch_experiments,
-)
+from repro.harness.campaign import Campaign, prefetch_experiments
 from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS  # re-exported for callers
 from repro.harness.report import format_table
@@ -105,23 +101,22 @@ def _prefetch(
     keys: List[str],
     params: SimulationParams,
     jobs: Optional[int],
-    policy: Optional[RetryPolicy],
     supervisor=None,
     chaos=None,
     shutdown=None,
     repetitions: int = 1,
     run_table: Optional[str] = None,
 ) -> int:
-    """Fan the experiments' simulations out; report failures. 0, 3, or 5.
+    """Run the experiments' simulations under the one supervisor budget;
+    report failures, naming each failed cell.  0, 3, or 5.
 
     With ``repetitions > 1`` every planned job runs once per derived-seed
     repetition; ``run_table`` (a path) additionally writes the campaign's
     tidy per-(workload, design, rep) CSV from the outcomes.
     """
     outcomes, failures = prefetch_experiments(
-        keys, params, jobs=jobs, policy=policy,
-        supervisor=supervisor, chaos=chaos, shutdown=shutdown,
-        repetitions=repetitions,
+        keys, params, jobs=jobs, supervisor=supervisor, chaos=chaos,
+        shutdown=shutdown, repetitions=repetitions,
     )
     if run_table and not (shutdown is not None and shutdown.requested):
         from repro.analysis.runtable import write_run_table
@@ -1275,18 +1270,6 @@ def main(argv=None) -> int:
         help="ECC model applied to injected faults (default: secded)",
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds allowed per simulation attempt",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retries (with exponential backoff) per failed simulation",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -1310,8 +1293,9 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-job wall-clock deadline; jobs past it are watchdog-killed "
-        "and retried (quarantined after repeated offences)",
+        help="per-simulation wall-clock deadline, the one time bound: jobs "
+        "past it are watchdog-killed and retried (quarantined after "
+        "repeated offences); runs on a killable worker even at --jobs 1",
     )
     parser.add_argument(
         "--chaos-seed",
@@ -1372,7 +1356,6 @@ def main(argv=None) -> int:
             print(f"  {key:8s} {title}")
         return EXIT_OK
 
-    from repro.exec import resolve_jobs
     from repro.harness.runner import DEFAULT_ACCESSES
 
     params = SimulationParams(
@@ -1381,10 +1364,6 @@ def main(argv=None) -> int:
         fault_rate=args.fault_rate,
         ecc=args.ecc,
     )
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.repetitions < 1:
@@ -1394,11 +1373,6 @@ def main(argv=None) -> int:
         from repro.analysis.runtable import DEFAULT_RUN_TABLE
 
         run_table = DEFAULT_RUN_TABLE
-    policy: Optional[RetryPolicy] = None
-    if args.timeout is not None or args.retries:
-        policy = RetryPolicy(attempts=args.retries + 1, timeout=args.timeout)
-        install_retry_executor(policy)
-    jobs = resolve_jobs(args.jobs)
 
     # Chaos arms from the flags, else from REPRO_CHAOS (so any command can
     # run under injection); the supervisor deadline from --deadline.
@@ -1432,18 +1406,13 @@ def main(argv=None) -> int:
                 parser.error(f"unknown experiment(s): {', '.join(unknown)}")
         shutdown = ShutdownFlag()
         with graceful_signals(shutdown):
-            statistical = args.repetitions > 1 or run_table is not None
-            if (
-                jobs > 1 or chaos is not None or supervisor is not None
-                or statistical
-            ):
-                status = _prefetch(
-                    keys, params, jobs, policy,
-                    supervisor=supervisor, chaos=chaos, shutdown=shutdown,
-                    repetitions=args.repetitions, run_table=run_table,
-                )
-                if status != EXIT_OK:
-                    return status
+            status = _prefetch(
+                keys, params, args.jobs,
+                supervisor=supervisor, chaos=chaos, shutdown=shutdown,
+                repetitions=args.repetitions, run_table=run_table,
+            )
+            if status != EXIT_OK:
+                return status
             # A campaign context ties the checkpoint to these parameters,
             # so a resume never skips work done at different settings.
             context = (
@@ -1466,16 +1435,7 @@ def main(argv=None) -> int:
                     else None
                 ),
             )
-            try:
-                campaign.run(should_stop=lambda: shutdown.requested)
-            except (SimulationFailed, SimulationTimeout) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                print(
-                    f"campaign stopped after {len(campaign.completed)} of "
-                    f"{len(campaign.steps)} experiments; re-run to resume",
-                    file=sys.stderr,
-                )
-                return EXIT_SIM_FAILURE
+            campaign.run(should_stop=lambda: shutdown.requested)
             if campaign.interrupted:
                 print(
                     f"interrupted: campaign checkpointed after "
@@ -1496,22 +1456,14 @@ def main(argv=None) -> int:
 
     if args.experiment not in EXPERIMENTS:
         parser.error(f"unknown experiment {args.experiment!r}; try `list`")
-    if (
-        jobs > 1 or chaos is not None or supervisor is not None
-        or args.repetitions > 1 or run_table is not None
-    ):
-        status = _prefetch(
-            [args.experiment], params, jobs, policy,
-            supervisor=supervisor, chaos=chaos,
-            repetitions=args.repetitions, run_table=run_table,
-        )
-        if status != EXIT_OK:
-            return status
-    try:
-        run_one(args.experiment, params)
-    except (SimulationFailed, SimulationTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIM_FAILURE
+    status = _prefetch(
+        [args.experiment], params, args.jobs,
+        supervisor=supervisor, chaos=chaos,
+        repetitions=args.repetitions, run_table=run_table,
+    )
+    if status != EXIT_OK:
+        return status
+    run_one(args.experiment, params)
     return EXIT_OK
 
 

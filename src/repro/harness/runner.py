@@ -144,9 +144,9 @@ _memory_cache: Dict[Tuple, SimResult] = {}
 _disk_loaded = False
 _disk_store: Dict[str, dict] = {}
 
-# The executor actually invoked for uncached simulations.  The campaign
-# layer (repro.harness.campaign) swaps in a timeout/retry wrapper; tests
-# inject flaky stand-ins.  Signature matches `run_workload`.
+# The executor actually invoked for uncached simulations.  The chaos
+# controller wraps it with its fault seams; tests inject flaky stand-ins.
+# Signature matches `run_workload`.
 _run_executor: Callable[..., SimResult] = run_workload
 
 
@@ -347,6 +347,26 @@ def clear_cache(disk: bool = False) -> None:
         _store().clear()
 
 
+def forget(
+    workload: str,
+    config_name: str,
+    *,
+    scale: int = DEFAULT_SCALE,
+    params: Optional[SimulationParams] = None,
+) -> None:
+    """Forget one cached result in this process only (memory, loaded
+    store); its shard on disk is untouched.
+
+    A long-lived daemon worker calls this before running a job the
+    daemon found missing: a copy the worker kept from an earlier run
+    must not answer for a cell another process has since invalidated.
+    """
+    params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
+    key = _key(workload, config_name, scale, params)
+    _memory_cache.pop(key, None)
+    _disk_store.pop(json.dumps(key), None)
+
+
 def invalidate(
     workload: str,
     config_name: str,
@@ -361,12 +381,9 @@ def invalidate(
     to be served to the retry, or to any later campaign.
     """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
-    key = _key(workload, config_name, scale, params)
-    disk_key = json.dumps(key)
-    _memory_cache.pop(key, None)
-    _disk_store.pop(disk_key, None)
+    forget(workload, config_name, scale=scale, params=params)
     if _DISK_CACHE:
-        _store().remove(disk_key)
+        _store().remove(json.dumps(_key(workload, config_name, scale, params)))
 
 
 def set_cache_path(path) -> Path:

@@ -45,7 +45,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro import obs
 from repro.exec.job import Job
 from repro.exec.scheduler import _execute_job, resolve_jobs
-from repro.exec.supervisor import _mp_context, validate_result
+from repro.exec.supervisor import (
+    DEFAULT_SUPERVISOR, _mp_context, validate_result,
+)
 from repro.harness import runner as runner_mod
 from repro.obs import slo as slo_mod
 from repro.obs import telemetry
@@ -67,8 +69,6 @@ from repro.service.state import (
 from repro.sim.engine import SimulationParams
 from repro.sim.metrics import SimResult
 
-MAX_JOB_ATTEMPTS = 3
-
 
 @dataclass
 class ServiceConfig:
@@ -87,6 +87,19 @@ class ServiceConfig:
 
 def _result_payload(result: SimResult) -> Dict[str, object]:
     return dataclasses.asdict(result)
+
+
+def _execute_dispatched(job: Job) -> SimResult:
+    """Pool-worker entry point for a job the daemon's lookup missed.
+
+    Workers live as long as the daemon.  A copy of this cell in the
+    worker's own memory is one another process has since invalidated,
+    so drop it and go to the shard store (or simulate).
+    """
+    runner_mod.forget(
+        job.workload, job.config_name, scale=job.scale, params=job.params
+    )
+    return _execute_job(job)
 
 
 class SimService:
@@ -460,11 +473,11 @@ class SimService:
                     parent_id=job.trace.parent_id,
                 )
         try:
-            while attempts < MAX_JOB_ATTEMPTS:
+            while attempts < DEFAULT_SUPERVISOR.max_attempts:
                 attempts += 1
                 try:
                     result = await loop.run_in_executor(
-                        self._pool, _execute_job, job
+                        self._pool, _execute_dispatched, job
                     )
                 except BrokenProcessPool:
                     self._rebuild_pool()

@@ -63,26 +63,37 @@ def test_bad_ecc_choice_is_usage_error():
     assert exc_info.value.code == 2
 
 
-def test_negative_retries_rejected():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["fig13", "--retries", "-1"])
-    assert exc_info.value.code == 2
+def test_retry_and_timeout_flags_are_usage_errors():
+    # --deadline (the supervisor's budget) is the one time bound
+    for flag in (["--retries", "1"], ["--timeout", "5"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fig13", *flag])
+        assert exc_info.value.code == 2
 
 
 def test_simulation_failure_exit_code(capsys, monkeypatch):
-    from repro.harness.campaign import SimulationFailed
+    from repro.exec import build_plan
     from repro.harness.runner import set_run_executor
+    from repro.sim.engine import SimulationParams
 
     def doomed(workload, config, params=None, **kwargs):
-        raise SimulationFailed("all retries spent")
+        raise RuntimeError("simulator exploded")
 
+    first_cell = build_plan(
+        ["fig13"], SimulationParams(accesses_per_core=100)
+    ).jobs[0].describe()
     monkeypatch.setattr(runner_mod, "_disk_store", {})
     set_run_executor(doomed)
     try:
-        assert main(["fig13", "--accesses", "100"]) == 3
+        # the default worker count, then the in-process path
+        for jobs in ([], ["--jobs", "1"]):
+            clear_cache()
+            assert main(["fig13", "--accesses", "100", *jobs]) == 3
+            err = capsys.readouterr().err
+            assert f"simulation failed for {first_cell}" in err
+            assert "RuntimeError: simulator exploded" in err
     finally:
         set_run_executor(None)
-    assert "all retries spent" in capsys.readouterr().err
 
 
 def test_fault_rate_flag_reaches_results(capsys):

@@ -248,9 +248,22 @@ class TestSingleResultStore:
             handle.drain()
         assert not isolated_cache.with_suffix(".cas").exists()
 
+    @pytest.fixture
+    def one_worker_daemon(self, isolated_cache, tmp_path):
+        # one long-lived worker: the one that simulated a cell first is
+        # the one its re-run is dispatched to
+        handle = DaemonHandle(
+            ServiceConfig(
+                port=0, workers=1, checkpoint=tmp_path / "ckpt.json"
+            )
+        ).start()
+        yield handle
+        handle.drain()
+
     def test_invalidated_cell_is_resimulated_on_resubmission(
-        self, daemon, isolated_cache
+        self, one_worker_daemon, isolated_cache
     ):
+        daemon = one_worker_daemon
         first = daemon.client.run_campaign(
             jobs=_specs(*self.JOBS), client="inval"
         )
@@ -279,6 +292,17 @@ class TestSingleResultStore:
             assert runner_mod._result_from_dict(
                 payload
             ) == runner_mod._result_from_dict(first["results"][job_id])
+        # ... and the re-run cell really was re-simulated, not answered
+        # from the worker's memory of its first run
+        (rerun_id,) = [
+            job_id for job_id, payload in again.items()
+            if payload["manifest"]["config"] == "dice"
+        ]
+        fresh = again[rerun_id]["manifest"]
+        stale = first["results"][rerun_id]["manifest"]
+        assert (fresh["elapsed_s"], fresh["wall_clock_utc"]) != (
+            stale["elapsed_s"], stale["wall_clock_utc"]
+        )
         assert not isolated_cache.with_suffix(".cas").exists()
 
 

@@ -158,6 +158,31 @@ class TestWatchdog:
         assert report.watchdog_kills >= 1
         assert outcomes[2].attempts == 2
 
+    def test_deadline_is_enforced_at_one_worker(
+        self, isolated_cache, tmp_path
+    ):
+        # a deadline needs a process it can kill, so even one worker runs
+        # on the supervised pool rather than in-process
+        jobs = _jobs(1)
+        chaos = ChaosPolicy(
+            rate=1.0,
+            classes=("hang",),
+            max_faulty_attempts=99,
+            hang_seconds=60.0,
+            ledger_path=str(tmp_path / "ledger.jsonl"),
+        )
+        outcomes = run_jobs(
+            jobs,
+            max_workers=1,
+            chaos=chaos,
+            supervisor=SupervisorPolicy(deadline=1.5, max_attempts=2),
+        )
+        assert outcomes[0].source == "quarantined"
+        assert "deadline" in outcomes[0].error
+        report = last_report()
+        assert report.watchdog_kills >= 1
+        assert report.quarantined == [jobs[0].describe()]
+
     def test_no_deadline_means_no_watchdog(self, isolated_cache):
         outcomes = run_jobs(_jobs(2), max_workers=2)
         assert last_report().watchdog_kills == 0
