@@ -17,7 +17,11 @@ Drives a real ``cli serve`` daemon through its whole lifecycle:
 7. telemetry: a traced daemon + ``cli submit --trace`` yield per-process
    trace files that ``cli trace stitch`` merges into one chrome trace —
    client span ancestral to daemon and to >= 2 distinct worker pids —
-   and ``cli slo check`` exits 0 healthy / 6 with a tightened objective.
+   and ``cli slo check`` exits 0 healthy / 6 with a tightened objective;
+8. chaos: a daemon armed with ``REPRO_CHAOS`` (crashes, hangs, torn and
+   failed shard writes, corrupt payloads) on its own cache finishes the
+   same campaign with results bit-identical to the clean daemon's, and
+   its chaos ledger shows at least one worker crash survived.
 
 Exit 0 means every step held.  Set ``REPRO_SMOKE_ARTIFACTS`` to a
 directory to keep the stitched trace and Prometheus scrapes for upload.
@@ -115,7 +119,7 @@ def main() -> int:
         p for p in ("src", env.get("PYTHONPATH", "")) if p
     )
     try:
-        print("service-smoke: phase 1/4 — daemon up, cold + warm campaign")
+        print("service-smoke: phase 1/5 — daemon up, cold + warm campaign")
         daemon = Daemon(workdir, env)
 
         events = []
@@ -170,7 +174,7 @@ def main() -> int:
             "GET /slo judges the built-in objectives",
         )
 
-        print("service-smoke: phase 2/4 — SIGTERM drain mid-campaign")
+        print("service-smoke: phase 2/5 — SIGTERM drain mid-campaign")
         fresh = daemon.client.submit(
             experiments=["fig13"], client="smoke", seed=11
         )
@@ -199,7 +203,7 @@ def main() -> int:
             "checkpoint records the drained campaign",
         )
 
-        print("service-smoke: phase 3/4 — restart resumes the checkpoint")
+        print("service-smoke: phase 3/5 — restart resumes the checkpoint")
         daemon = Daemon(workdir, env)
         counters = daemon.client.metrics().get("counters", {})
         check(
@@ -234,7 +238,7 @@ def main() -> int:
             "a cleanly finished daemon leaves no checkpoint",
         )
 
-        print("service-smoke: phase 4/4 — cross-process tracing + SLOs")
+        print("service-smoke: phase 4/5 — cross-process tracing + SLOs")
         trace_base = os.path.join(workdir, "svc.jsonl")
         client_trace = os.path.join(workdir, "client.jsonl")
         daemon = Daemon(workdir, env, extra_args=["--trace", trace_base])
@@ -335,6 +339,48 @@ def main() -> int:
             not os.path.exists(os.path.join(workdir, ".sim_cache.cas")),
             "the daemons kept one result store (no .sim_cache.cas/)",
         )
+
+        print("service-smoke: phase 5/5 — the same campaign under chaos")
+        chaos_dir = os.path.join(workdir, "chaos")
+        os.makedirs(chaos_dir)
+        ledger = os.path.join(chaos_dir, "ledger.jsonl")
+        chaos_env = dict(env)
+        chaos_env["REPRO_CACHE_PATH"] = os.path.join(
+            chaos_dir, ".sim_cache.json"
+        )
+        # seed 11 crashes two of fig13's 26 cells on their first attempt
+        chaos_env["REPRO_CHAOS"] = f"seed=11,rate=0.2,hang=1,ledger={ledger}"
+        daemon = Daemon(chaos_dir, chaos_env)
+        chaotic = daemon.client.run_campaign(
+            experiments=["fig13"], client="chaos"
+        )
+        code = daemon.terminate_and_wait()
+        check(
+            chaotic["final"].get("status") == "completed",
+            "chaotic campaign completed",
+        )
+
+        def simulated(results):
+            # the manifest records run provenance (wall clock, host)
+            return {
+                job_id: {k: v for k, v in payload.items() if k != "manifest"}
+                for job_id, payload in results.items()
+            }
+
+        check(
+            simulated(chaotic["results"]) == simulated(cold["results"]),
+            "chaotic results bit-identical to the clean daemon's",
+        )
+        faults = {}
+        with open(ledger) as handle:
+            for line in handle:
+                fault = json.loads(line)["fault"]
+                faults[fault] = faults.get(fault, 0) + 1
+        check(
+            faults.get("crash", 0) >= 1,
+            f"the chaos ledger shows worker crashes survived ({faults})",
+        )
+        check(code == 0, f"chaotic daemon drained 0 (got {code})")
 
         print("service-smoke: OK — daemon lifecycle held end to end")
         return 0

@@ -7,12 +7,14 @@ loop into a sharded, resumable, deterministic fan-out:
   with a stable cache key;
 * :mod:`repro.exec.planner` — expands experiments into a deduped job
   list in deterministic order;
-* :mod:`repro.exec.scheduler` — the ``ProcessPoolExecutor`` worker pool,
-  with drain-on-failure semantics;
-* :mod:`repro.exec.supervisor` — the one time and retry budget
+* :mod:`repro.exec.scheduler` — ``run_jobs``: cache hits in the parent,
+  then the in-process reference path or the supervised pool, with
+  drain-on-failure semantics;
+* :mod:`repro.exec.supervisor` — the one supervised pool, shared with
+  the campaign daemon, and the one time and retry budget
   (``SupervisorPolicy``): watchdog deadlines, broken-pool rebuild +
   requeue, poison-job quarantine, result validation, and graceful
-  SIGTERM/SIGINT shutdown around the pool;
+  SIGTERM/SIGINT shutdown;
 * :mod:`repro.exec.cache` — the concurrency-safe sharded result store
   backing the harness result cache, with per-shard write circuit
   breakers;

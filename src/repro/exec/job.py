@@ -88,10 +88,12 @@ class Job:
             label += f" rep={self.rep}"
         return label
 
-    def peek(self) -> Optional[SimResult]:
-        """This job's cached result, if any (memory or disk)."""
+    def peek(self, store=None) -> Optional[SimResult]:
+        """This job's cached result, if any (memory or disk); see
+        :func:`~repro.harness.runner.peek_cached` for ``store``."""
         return runner_mod.peek_cached(
-            self.workload, self.config_name, scale=self.scale, params=self.params
+            self.workload, self.config_name, scale=self.scale,
+            params=self.params, store=store,
         )
 
     def execute(self) -> SimResult:

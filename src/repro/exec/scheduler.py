@@ -55,10 +55,12 @@ from repro.exec.job import Job
 from repro.exec.progress import ProgressSnapshot
 from repro.exec.supervisor import (
     DEFAULT_SUPERVISOR,
+    ListSource,
     ShutdownFlag,
     SupervisionReport,
     SupervisorPolicy,
     _mp_context,
+    incident_counters,
     supervise_pool,
     validate_result,
 )
@@ -205,6 +207,11 @@ class _Tracker:
             ),
             elapsed_s=elapsed,
         )
+
+    def event(self, name: str, **fields) -> None:
+        """A supervisor incident on the exec trace."""
+        if self.tracer.enabled:
+            self.tracer.instant(name, "exec", self._now_us(), **fields)
 
     def emit(self, label: str = "") -> None:
         if self.callback is None:
@@ -489,16 +496,17 @@ def _run_pool(
     incidents to recover from, not campaign-enders."""
 
     def record(i, result, error, source, attempts):
-        outcome = _record(
-            outcomes, i, jobs[i], result, error, source=source, attempts=attempts
+        tracker.step(
+            _record(
+                outcomes, i, jobs[i], result, error, source=source,
+                attempts=attempts,
+            )
         )
-        tracker.step(outcome)
-        return outcome
 
     return supervise_pool(
-        jobs, pending, tracker, workers,
-        supervisor=supervisor, chaos=chaos,
-        shutdown=shutdown, record=record,
+        ListSource((i, jobs[i]) for i in pending), tracker, workers,
+        record=record, counters=incident_counters(tracker.registry),
+        supervisor=supervisor, chaos=chaos, shutdown=shutdown,
     )
 
 

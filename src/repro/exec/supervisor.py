@@ -4,15 +4,16 @@ The PR 2 scheduler assumed workers either finish or raise.  Real fleets
 do worse: processes die (``BrokenProcessPool``), wedge forever, return
 garbage, and the disk under the result cache tears or fills.  This
 module wraps the pool in a supervisor that converts every one of those
-into a bounded, observable incident:
+into a bounded, observable incident.  Its loop pulls jobs from a source
+(a fixed batch for ``run_jobs``, the per-client queues for the campaign
+daemon) and keeps one pool across them:
 
 * **watchdog deadlines** — workers append a start marker (PID, attempt)
   to a shared ledger the moment they pick a job up; the supervisor polls
   it and terminates the pool when a job overstays ``deadline`` seconds;
 * **crash recovery** — a broken pool is rebuilt and its in-flight jobs
-  requeued, with the incident counted against each job that had actually
-  started (conservative attribution: co-flight innocents are retried at
-  worst, never lost);
+  requeued; only the job whose worker died on its own (by its exit code)
+  is charged an attempt, co-flight innocents are requeued for free;
 * **poison-job quarantine** — a job whose attempts keep dying is
   quarantined after ``max_attempts``: the campaign drains and the exit
   report names it, instead of the whole run aborting;
@@ -29,6 +30,7 @@ event on the campaign's ``*.exec.jsonl`` trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -37,11 +39,13 @@ import signal
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.chaos import ledger as ledger_mod
 from repro.chaos import controller as chaos_controller
@@ -62,9 +66,11 @@ class SupervisorPolicy:
 
     ``deadline`` is the per-job wall-clock budget the watchdog enforces
     (None disables it).  ``max_attempts`` counts *started* submissions of
-    one job before it is quarantined.  ``max_pool_rebuilds`` bounds
-    crash/hang recovery for the whole campaign.  ``grace`` is how long a
-    graceful shutdown waits for in-flight jobs before terminating them.
+    one job before it is quarantined.  ``max_pool_rebuilds`` bounds a
+    streak of pool rebuilds that charged no job an attempt (a rebuild
+    that charges one is already bounded by that job's ``max_attempts``;
+    a recorded job ends the streak).  ``grace`` is how long a graceful
+    shutdown waits for in-flight jobs before terminating them.
     """
 
     deadline: Optional[float] = None
@@ -82,7 +88,8 @@ _REAP_TIMEOUT_S = 5.0
 
 @dataclass
 class SupervisionReport:
-    """What the supervisor saw and did during one ``run_jobs`` call."""
+    """What the supervisor saw and did during one supervised loop (one
+    ``run_jobs`` call, or a daemon's lifetime)."""
 
     pool_rebuilds: int = 0
     crash_incidents: int = 0
@@ -215,26 +222,50 @@ def validate_result(result) -> Optional[str]:
 
 
 def _worker_init(chaos_policy: Optional[ChaosPolicy] = None) -> None:
-    """Install the chaos seams (if any) in a worker."""
+    """Reset a worker's signal handling; install the chaos seams.
+
+    A forked worker inherits its parent's handlers: the CLI's graceful
+    SIGTERM latch, which would make the supervisor's SIGTERM a no-op, and
+    the daemon's asyncio wakeup fd, through which a SIGTERM sent to the
+    worker would reach the daemon's own loop and drain it.  So SIGTERM
+    kills a worker again, and SIGINT (a terminal's Ctrl-C reaches the
+    whole process group) is ignored: the parent handles it, and stops
+    its workers itself.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if chaos_policy is not None:
         chaos_controller.configure(chaos_policy)
         chaos_controller.install_executor_chaos()
 
 
 def _supervised_execute(
-    job: Job, attempt: int, marker_path: Optional[str]
+    job: Job, attempt: int, marker_path: Optional[str], ticket: int = 0
 ) -> SimResult:
-    """Run one job under supervision bookkeeping.
+    """Run one job under supervision bookkeeping: the one worker entry
+    point, for ``run_jobs`` and the campaign daemon alike.
 
     The start marker is what gives the parent watchdog a job-accurate
     clock (queue time excluded) and gives crash attribution its ground
     truth: whatever started and never finished was in the blast radius.
+
+    A worker may outlive many jobs (the daemon keeps one pool for its
+    whole life), so a copy of this cell in the worker's own memory may be
+    one another process has since invalidated: it is dropped first, and
+    the job goes to the shard store (or simulates).
     """
     if marker_path:
         ledger_mod.append_jsonl(
             marker_path,
-            {"job_id": job.job_id, "attempt": attempt, "pid": os.getpid()},
+            {
+                "ticket": ticket, "job_id": job.job_id, "attempt": attempt,
+                "pid": os.getpid(),
+            },
         )
+    runner_mod.forget(
+        job.workload, job.config_name, scale=job.scale, params=job.params
+    )
     with chaos_controller.job_site(job.job_id, attempt):
         # restore the job's distributed-trace coordinates as this
         # worker's ambient context (no-op for an untraced job)
@@ -305,74 +336,129 @@ def _died_on_its_own(code: Optional[int]) -> bool:
 # the supervised pool loop
 
 
+class ListSource:
+    """A fixed batch of ``(key, job)`` items, the source ``run_jobs`` feeds.
+
+    Closed from the start: nothing is ever added, so the pool loop
+    returns once every item has been pulled and recorded.
+    """
+
+    closed = True
+
+    def __init__(self, items: Iterable[Tuple[object, Job]]) -> None:
+        self._items = deque(items)
+
+    def pull(self, timeout: float) -> Optional[Tuple[object, Job]]:
+        return self._items.popleft() if self._items else None
+
+
+def incident_counters(registry, prefix: str = "exec") -> Dict[str, object]:
+    """The supervisor's ``<prefix>.supervisor.*`` incident counters.
+
+    Created by the caller, so a registry another thread renders never
+    grows while it is iterated.
+    """
+    return {
+        name: registry.counter(f"{prefix}.supervisor.{name}")
+        for name in (
+            "pool_rebuilds", "watchdog_kills", "requeues", "quarantined",
+            "corrupt_results",
+        )
+    }
+
+
+@dataclass
+class _Ticket:
+    """The supervisor's bookkeeping for one pulled job, dropped once the
+    job is recorded."""
+
+    serial: int
+    key: object
+    job: Job
+    attempts: int = 0  # submissions made (uncharged ones are given back)
+    started_attempt: int = 0  # per the worker's start marker
+    started_at: float = 0.0
+    started_pid: int = 0
+    last_reason: str = "unknown"
+
+
 def supervise_pool(
-    jobs: Sequence[Job],
-    pending: Sequence[int],
+    source,
     tracker,
     workers: int,
     *,
+    record: Callable,
+    counters: Dict[str, object],
     supervisor: SupervisorPolicy = DEFAULT_SUPERVISOR,
     chaos: Optional[ChaosPolicy] = None,
     shutdown: Optional[ShutdownFlag] = None,
-    record: Callable,
 ) -> SupervisionReport:
-    """Run ``pending`` on a supervised pool; outcomes go through ``record``.
+    """Run the jobs ``source`` yields on one supervised pool.
 
-    ``record(index, result, error, source, attempts)`` is the scheduler's
-    callback that builds the :class:`~repro.exec.scheduler.JobOutcome`,
-    seeds the result cache, and updates progress.  Jobs left unrecorded
-    on interruption simply stay pending — the result cache already holds
-    every completed job, so the next invocation resumes exactly there.
+    ``source.pull(timeout)`` returns the next ``(key, job)``, waiting up
+    to ``timeout`` seconds for one, or None; ``source.closed`` is true
+    once nothing more will be added.  At most ``workers`` jobs are
+    submitted at a time, to one pool that is kept across jobs and rebuilt
+    only after a crash or a watchdog kill.  The loop returns when the
+    source is closed and no job is running, or, once ``shutdown`` trips,
+    when the running jobs have finished or the grace window has ended
+    (its workers are then terminated).
+
+    ``record(key, result, error, source, attempts)`` receives each job's
+    outcome exactly once; jobs left unrecorded on interruption simply
+    never ran to completion — the result cache already holds every
+    completed job, so the next invocation resumes exactly there.
+    ``tracker`` takes incident events (``tracker.event(name, **fields)``)
+    and the number of running jobs (``tracker.running``); ``counters``
+    are the :func:`incident_counters` to bump.
     """
     report = SupervisionReport()
-    registry = tracker.registry
-    c_rebuilds = registry.counter("exec.supervisor.pool_rebuilds")
-    c_watchdog = registry.counter("exec.supervisor.watchdog_kills")
-    c_requeue = registry.counter("exec.supervisor.requeues")
-    c_quarantined = registry.counter("exec.supervisor.quarantined")
-    c_corrupt = registry.counter("exec.supervisor.corrupt_results")
-    tracer = tracker.tracer
-
-    def event(name: str, **fields) -> None:
-        if tracer.enabled:
-            tracer.instant(name, "exec", tracker._now_us(), **fields)
-
+    event = tracker.event
     marker_dir = tempfile.mkdtemp(prefix=".exec_supervise.")
     marker_path = os.path.join(marker_dir, "started.jsonl")
     marker_offset = 0
-    by_id = {jobs[i].job_id: i for i in pending}
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    started_attempt: Dict[int, int] = {}
-    started_at: Dict[int, float] = {}
-    started_pid: Dict[int, int] = {}
-    last_reason: Dict[int, str] = {}
-    queue = deque(pending)
+    serials = itertools.count(1)
+    live: Dict[int, _Ticket] = {}  # pulled and not yet recorded
+    retry: Deque[_Ticket] = deque()  # requeued; served before new pulls
+    futures: Dict[Future, _Ticket] = {}
+    pool: Optional[ProcessPoolExecutor] = None
+    processes: Dict[int, object] = {}
+    # Rebuilds that charged some job an attempt are bounded by that job's
+    # max_attempts; only a streak of rebuilds that charged nobody (and
+    # completed nothing) can loop forever, so only that streak is budgeted.
+    unpaid_rebuilds = 0
     grace_deadline: Optional[float] = None
 
-    def fail_or_requeue(i: int, reason: str, kind: str) -> None:
+    def finish(t: _Ticket, result, error, how: str) -> None:
+        nonlocal unpaid_rebuilds
+        unpaid_rebuilds = 0
+        live.pop(t.serial, None)
+        record(t.key, result, error, how, t.attempts)
+
+    def fail_or_requeue(t: _Ticket, reason: str, kind: str) -> None:
         """One attributed failed attempt: retry the job or quarantine it."""
-        last_reason[i] = reason
-        if attempts[i] >= supervisor.max_attempts:
-            label = jobs[i].describe()
+        t.last_reason = reason
+        if t.attempts >= supervisor.max_attempts:
+            label = t.job.describe()
             report.quarantined.append(label)
-            c_quarantined.inc()
+            counters["quarantined"].inc()
             event(
                 "supervisor.quarantine",
-                job=label, attempts=attempts[i], reason=kind,
+                job=label, attempts=t.attempts, reason=kind,
             )
-            record(
-                i, None,
-                f"quarantined after {attempts[i]} failed attempt(s); "
+            finish(
+                t, None,
+                f"quarantined after {t.attempts} failed attempt(s); "
                 f"last failure: {reason}",
-                "quarantined", attempts[i],
+                "quarantined",
             )
         else:
-            queue.append(i)
+            retry.append(t)
             report.requeues += 1
-            c_requeue.inc()
+            counters["requeues"].inc()
             event(
                 "supervisor.requeue",
-                job=jobs[i].describe(), attempt=attempts[i], reason=kind,
+                job=t.job.describe(), attempt=t.attempts, reason=kind,
             )
 
     def refresh_markers(now: float) -> None:
@@ -381,201 +467,214 @@ def supervise_pool(
             marker_path, marker_offset
         )
         for marker in markers:
-            i = by_id.get(marker.get("job_id"))
-            if i is not None:
-                started_attempt[i] = int(marker.get("attempt", 0))
-                started_at[i] = now
-                started_pid[i] = int(marker.get("pid", 0))
+            t = live.get(marker.get("ticket"))
+            if t is not None:
+                t.started_attempt = int(marker.get("attempt", 0))
+                t.started_at = now
+                t.started_pid = int(marker.get("pid", 0))
+
+    def next_ticket(timeout: float) -> Optional[_Ticket]:
+        if retry:
+            return retry.popleft()
+        item = source.pull(timeout)
+        if item is None:
+            return None
+        t = _Ticket(next(serials), *item)
+        live[t.serial] = t
+        return t
 
     try:
-        while queue:
-            if shutdown is not None and shutdown.requested:
+        while True:
+            stopping = shutdown is not None and shutdown.requested
+            if stopping and grace_deadline is None:
                 report.interrupted = True
-                break
-            if report.pool_rebuilds > supervisor.max_pool_rebuilds:
-                while queue:
-                    i = queue.popleft()
-                    record(
-                        i, None,
+                grace_deadline = time.monotonic() + supervisor.grace
+                for future in list(futures):
+                    if future.cancel():
+                        futures.pop(future).attempts -= 1  # never ran
+                event(
+                    "supervisor.interrupted",
+                    signum=shutdown.signum, draining=len(futures),
+                )
+            broke = False
+            while not stopping and len(futures) < workers:
+                # idle: wait a tick for work; busy: take only what is ready
+                t = next_ticket(0.0 if futures else supervisor.tick)
+                if t is None:
+                    break
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=_mp_context(),
+                        initializer=_worker_init,
+                        initargs=(chaos,),
+                    )
+                    # the live worker table: filled on first submit, kept
+                    # by reference for crash attribution after the pool
+                    processes = pool._processes
+                t.attempts += 1
+                try:
+                    future = pool.submit(
+                        _supervised_execute, t.job, t.attempts, marker_path,
+                        t.serial,
+                    )
+                except (BrokenProcessPool, RuntimeError):
+                    t.attempts -= 1
+                    retry.appendleft(t)
+                    broke = True
+                    break
+                futures[future] = t
+            tracker.running = len(futures)
+            if not futures and not broke:
+                if stopping or (source.closed and not retry):
+                    break
+                continue
+
+            broken: List[_Ticket] = []
+            hung: Set[int] = set()
+            if not broke:
+                if stopping and time.monotonic() > grace_deadline:
+                    break  # the finally clause terminates the stragglers
+                done, _ = wait(
+                    list(futures),
+                    timeout=supervisor.tick,
+                    return_when=FIRST_COMPLETED,
+                )
+                now = time.monotonic()
+                refresh_markers(now)
+                for future in done:
+                    t = futures.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken.append(t)  # the pool is dead; attribute below
+                        broke = True
+                    except CorruptResultError as exc:
+                        report.corrupt_results += 1
+                        counters["corrupt_results"].inc()
+                        event(
+                            "supervisor.corrupt_result",
+                            job=t.job.describe(), attempt=t.attempts,
+                        )
+                        fail_or_requeue(t, str(exc), "corrupt")
+                    except Exception as exc:  # noqa: BLE001 - drain
+                        finish(t, None, _describe_error(exc), "failed")
+                    else:
+                        problem = validate_result(result)
+                        if problem is None:
+                            finish(t, result, None, "run")
+                            continue
+                        # Parent-side belt and braces: a worker whose
+                        # validation was itself corrupted still cannot
+                        # poison the campaign.
+                        runner_mod.invalidate(
+                            t.job.workload, t.job.config_name,
+                            scale=t.job.scale, params=t.job.params,
+                        )
+                        report.corrupt_results += 1
+                        counters["corrupt_results"].inc()
+                        fail_or_requeue(
+                            t, f"corrupt result: {problem}", "corrupt"
+                        )
+                tracker.running = len(futures)
+                if not broke and supervisor.deadline is not None:
+                    hung = {
+                        t.serial
+                        for t in futures.values()
+                        if t.started_attempt == t.attempts
+                        and now - t.started_at > supervisor.deadline
+                    }
+                if not (broke or hung):
+                    continue
+
+            # A crash or a watchdog kill: the pool goes, and every job it
+            # held is attributed by its start marker and worker exit code.
+            worker_exit = _terminate_pool(pool, processes)
+            pool = None
+            unfinished = broken + list(futures.values())
+            futures.clear()
+            tracker.running = 0
+            report.pool_rebuilds += 1
+            counters["pool_rebuilds"].inc()
+            if broke:
+                report.crash_incidents += 1
+            event(
+                "supervisor.pool_rebuild",
+                reason="watchdog" if hung else "broken_pool",
+                unfinished=len(unfinished),
+            )
+            refresh_markers(time.monotonic())
+            charged = False
+            for t in unfinished:
+                if t.started_attempt != t.attempts:
+                    # Never started this attempt: requeue, no penalty.
+                    t.attempts -= 1
+                    retry.append(t)
+                    continue
+                if t.serial in hung:
+                    report.watchdog_kills += 1
+                    counters["watchdog_kills"].inc()
+                    event(
+                        "supervisor.watchdog_kill",
+                        job=t.job.describe(), deadline=supervisor.deadline,
+                    )
+                    charged = True
+                    fail_or_requeue(
+                        t,
+                        f"exceeded the {supervisor.deadline:g}s "
+                        f"deadline (watchdog kill)",
+                        "hang",
+                    )
+                    continue
+                code = worker_exit.get(t.started_pid)
+                if _died_on_its_own(code):
+                    charged = True
+                    fail_or_requeue(
+                        t, f"worker process crashed (exit code {code})",
+                        "crash",
+                    )
+                else:
+                    # Started, but its worker was terminated by the
+                    # cleanup, not by its own death: an innocent
+                    # co-flight of the crash.  Requeue, no penalty.
+                    t.attempts -= 1
+                    retry.append(t)
+                    report.requeues += 1
+                    counters["requeues"].inc()
+                    event(
+                        "supervisor.requeue",
+                        job=t.job.describe(), attempt=t.attempts + 1,
+                        reason="collateral",
+                    )
+            if charged:
+                unpaid_rebuilds = 0
+                continue
+            unpaid_rebuilds += 1
+            if unpaid_rebuilds > supervisor.max_pool_rebuilds:
+                # The pool keeps dying with no job to blame: fail what is
+                # waiting now rather than rebuild forever.
+                stranded = list(retry)
+                retry.clear()
+                while True:
+                    t = next_ticket(0.0)
+                    if t is None:
+                        break
+                    stranded.append(t)
+                for t in stranded:
+                    finish(
+                        t, None,
                         f"supervisor: pool rebuild budget "
                         f"({supervisor.max_pool_rebuilds}) exhausted; "
-                        f"last failure: {last_reason.get(i, 'unknown')}",
-                        "failed", attempts[i],
+                        f"last failure: {t.last_reason}",
+                        "failed",
                     )
-                break
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(queue)),
-                mp_context=_mp_context(),
-                initializer=_worker_init,
-                initargs=(chaos,),
-            )
-            # the live worker table: filled on first submit, kept by
-            # reference for crash attribution after the pool is gone
-            processes = pool._processes
-            futures: Dict[object, int] = {}
-            broke = False
-            broken_idx: List[int] = []
-            hung: Set[int] = set()
-            worker_exit: Dict[int, Optional[int]] = {}
-            try:
-                while queue and not broke:
-                    i = queue.popleft()
-                    attempts[i] += 1
-                    try:
-                        future = pool.submit(
-                            _supervised_execute, jobs[i], attempts[i],
-                            marker_path,
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        attempts[i] -= 1
-                        queue.appendleft(i)
-                        broke = True
-                        break
-                    futures[future] = i
-                while futures:
-                    if shutdown is not None and shutdown.requested:
-                        if grace_deadline is None:
-                            report.interrupted = True
-                            grace_deadline = (
-                                time.monotonic() + supervisor.grace
-                            )
-                            for future in list(futures):
-                                if future.cancel():
-                                    i = futures.pop(future)
-                                    attempts[i] -= 1  # never actually ran
-                            event(
-                                "supervisor.interrupted",
-                                signum=shutdown.signum,
-                                draining=len(futures),
-                            )
-                        if time.monotonic() > grace_deadline:
-                            break
-                    done, _ = wait(
-                        list(futures),
-                        timeout=supervisor.tick,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    now = time.monotonic()
-                    refresh_markers(now)
-                    for future in done:
-                        i = futures.pop(future)
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            broken_idx.append(i)
-                            broke = True
-                            break  # the pool is dead; so is everything in it
-                        except CorruptResultError as exc:
-                            report.corrupt_results += 1
-                            c_corrupt.inc()
-                            event(
-                                "supervisor.corrupt_result",
-                                job=jobs[i].describe(), attempt=attempts[i],
-                            )
-                            fail_or_requeue(i, str(exc), "corrupt")
-                        except Exception as exc:  # noqa: BLE001 - drain
-                            record(
-                                i, None, _describe_error(exc), "failed",
-                                attempts[i],
-                            )
-                        else:
-                            problem = validate_result(result)
-                            if problem is not None:
-                                # Parent-side belt and braces: a worker
-                                # whose validation was itself corrupted
-                                # still cannot poison the campaign.
-                                runner_mod.invalidate(
-                                    jobs[i].workload, jobs[i].config_name,
-                                    scale=jobs[i].scale,
-                                    params=jobs[i].params,
-                                )
-                                report.corrupt_results += 1
-                                c_corrupt.inc()
-                                fail_or_requeue(
-                                    i, f"corrupt result: {problem}",
-                                    "corrupt",
-                                )
-                            else:
-                                record(
-                                    i, result, None, "run", attempts[i]
-                                )
-                    tracker.running = len(futures)
-                    if broke:
-                        break
-                    if supervisor.deadline is not None:
-                        for future, i in list(futures.items()):
-                            if (
-                                started_attempt.get(i) == attempts[i]
-                                and now - started_at.get(i, now)
-                                > supervisor.deadline
-                            ):
-                                hung.add(i)
-                        if hung:
-                            break
-            finally:
-                if broke or hung or futures:
-                    worker_exit = _terminate_pool(pool, processes)
-                else:
-                    pool.shutdown(wait=True)
-
-            unfinished = broken_idx + list(futures.values())
-            if broke or hung:
-                report.pool_rebuilds += 1
-                c_rebuilds.inc()
-                if broke:
-                    report.crash_incidents += 1
-                event(
-                    "supervisor.pool_rebuild",
-                    reason="watchdog" if hung else "broken_pool",
-                    unfinished=len(unfinished),
-                )
-                refresh_markers(time.monotonic())
-                for i in unfinished:
-                    if started_attempt.get(i) != attempts[i]:
-                        # Never started this attempt: requeue, no penalty.
-                        attempts[i] -= 1
-                        queue.append(i)
-                        continue
-                    if i in hung:
-                        report.watchdog_kills += 1
-                        c_watchdog.inc()
-                        event(
-                            "supervisor.watchdog_kill",
-                            job=jobs[i].describe(),
-                            deadline=supervisor.deadline,
-                        )
-                        fail_or_requeue(
-                            i,
-                            f"exceeded the {supervisor.deadline:g}s "
-                            f"deadline (watchdog kill)",
-                            "hang",
-                        )
-                        continue
-                    code = worker_exit.get(started_pid.get(i, -1))
-                    if _died_on_its_own(code):
-                        fail_or_requeue(
-                            i,
-                            f"worker process crashed (exit code {code})",
-                            "crash",
-                        )
-                    else:
-                        # Started, but its worker was terminated by the
-                        # cleanup, not by its own death: an innocent
-                        # co-flight of the crash.  Requeue, no penalty.
-                        attempts[i] -= 1
-                        queue.append(i)
-                        report.requeues += 1
-                        c_requeue.inc()
-                        event(
-                            "supervisor.requeue",
-                            job=jobs[i].describe(),
-                            attempt=attempts[i] + 1,
-                            reason="collateral",
-                        )
-            elif report.interrupted:
-                break
-        tracker.running = 0
     finally:
+        if pool is not None:
+            if futures:
+                _terminate_pool(pool, processes)
+            else:
+                pool.shutdown(wait=True)
+        tracker.running = 0
         shutil.rmtree(marker_dir, ignore_errors=True)
     return report
 

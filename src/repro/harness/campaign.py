@@ -1,20 +1,19 @@
-"""Crash-safe campaign execution: parallel prefetch, checkpoint/resume.
+"""Campaign execution: parallel prefetch and per-experiment flight data.
 
 A figure-regeneration campaign (``cli all``) is hours of simulation at
-paper fidelity.  This module keeps it restartable and self-healing:
+paper fidelity.  Every simulation runs first, on the parallel execution
+engine (:mod:`repro.exec`), and persists to the result cache the moment
+it finishes, so a killed campaign resumes at the granularity of single
+*(workload, config)* pairs; the tables then render from the cache in
+seconds.
 
-* :class:`Campaign` walks a list of experiments, checkpointing each
-  completed step to disk (atomically) so a killed campaign resumes where
-  it stopped.  Finer-grained resume — the completed *(workload, config)*
-  pairs inside an interrupted experiment — comes for free from the result
-  cache, which persists atomically after every single simulation;
-* :func:`prefetch_experiments` is the bridge to the parallel execution
-  engine (:mod:`repro.exec`): it plans the simulations a set of
+* :func:`prefetch_experiments` plans the simulations a set of
   experiments needs, runs them under the supervisor's one time and retry
   budget (:class:`~repro.exec.supervisor.SupervisorPolicy`), and leaves
   every result cached so the serial table rendering that follows is
-  instant.  With per-job caching, checkpoint/resume happens at
-  simulation granularity, not experiment granularity.
+  instant;
+* :func:`write_flight_data` records how long each experiment's rendering
+  took, for ``report --flight``.
 """
 
 from __future__ import annotations
@@ -22,13 +21,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-CHECKPOINT_VERSION = 1
-
-DEFAULT_CHECKPOINT = Path(".campaign_checkpoint.json")
+from typing import Dict, List, Optional, Sequence
 
 FLIGHT_VERSION = 1
 
@@ -87,170 +81,38 @@ def prefetch_experiments(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint/resume campaign
+# flight data
 
 
-class Campaign:
-    """Run named steps in order, checkpointing completion after each.
+def write_flight_data(
+    timings: Dict[str, float],
+    *,
+    repetitions: int = 1,
+    path: Path = DEFAULT_FLIGHT_DATA,
+) -> Path:
+    """Persist per-experiment wall timings (atomically): the campaign
+    section of ``report --flight``.
 
-    ``steps`` is a sequence of ``(name, thunk)`` pairs.  A checkpoint file
-    records the names already completed (under a context string, so a
-    campaign at different parameters does not reuse stale completions);
-    re-running skips them.  Checkpoint writes are atomic, and a corrupt or
-    foreign checkpoint file is quarantined rather than trusted.
+    ``timings`` maps each rendered experiment to its seconds, in campaign
+    order.  A step carries ``repetitions`` only for a repetition
+    campaign, so single-rep payloads keep their pre-statistics shape.
     """
-
-    def __init__(
-        self,
-        steps: Sequence[Tuple[str, Callable[[], object]]],
-        *,
-        checkpoint_path: Path = DEFAULT_CHECKPOINT,
-        context: str = "",
-        resume: bool = True,
-        repetitions: Optional[Dict[str, int]] = None,
-    ) -> None:
-        self.steps = list(steps)
-        self.checkpoint_path = Path(checkpoint_path)
-        self.context = context
-        self.resume = resume
-        self.completed: List[str] = []
-        self.skipped: List[str] = []
-        self.timings: Dict[str, float] = {}
-        self.interrupted = False
-        # per-step repetition counts (flight report statistics section);
-        # None keeps the flight payload exactly its pre-statistics shape
-        self.repetitions = dict(repetitions) if repetitions else None
-
-    # -- checkpoint persistence ---------------------------------------------
-
-    def _load_checkpoint(self) -> List[str]:
-        if not self.resume or not self.checkpoint_path.exists():
-            return []
-        try:
-            data = json.loads(self.checkpoint_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            self._quarantine_checkpoint()
-            return []
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != CHECKPOINT_VERSION
-            or data.get("context") != self.context
-            or not isinstance(data.get("completed"), list)
-        ):
-            # Different campaign (or drifted schema): start clean.
-            return []
-        return [str(name) for name in data["completed"]]
-
-    def _quarantine_checkpoint(self) -> None:
-        try:
-            os.replace(
-                self.checkpoint_path,
-                self.checkpoint_path.with_suffix(".corrupt.json"),
-            )
-        except OSError:
-            pass
-
-    def _save_checkpoint(self, completed: List[str]) -> None:
-        payload = json.dumps(
-            {
-                "version": CHECKPOINT_VERSION,
-                "context": self.context,
-                "completed": completed,
-            }
-        )
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=self.checkpoint_path.name + ".",
-                suffix=".tmp",
-                dir=self.checkpoint_path.parent or Path("."),
-            )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.checkpoint_path)
-        except OSError:
-            pass
-
-    def clear_checkpoint(self) -> None:
-        """Forget recorded progress (a finished campaign cleans up)."""
-        try:
-            self.checkpoint_path.unlink()
-        except OSError:
-            pass
-
-    # -- execution -----------------------------------------------------------
-
-    def run(
-        self,
-        on_step: Optional[Callable[[str, object], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> Dict[str, object]:
-        """Execute pending steps; returns ``{name: step result}``.
-
-        Completed steps from a previous (killed) run are skipped.  A step
-        that raises stops the campaign with its progress checkpointed, so
-        the next invocation resumes right there.  ``should_stop`` is
-        polled between steps (the graceful SIGTERM/SIGINT path): when it
-        returns True the campaign stops cleanly with ``self.interrupted``
-        set and the checkpoint intact, so a rerun resumes bit-identically.
-        """
-        done = self._load_checkpoint()
-        results: Dict[str, object] = {}
-        self.completed = list(done)
-        self.skipped = [name for name, _ in self.steps if name in done]
-        self.interrupted = False
-        for name, thunk in self.steps:
-            if name in done:
-                continue
-            if should_stop is not None and should_stop():
-                self.interrupted = True
-                break
-            step_started = time.perf_counter()
-            outcome = thunk()
-            self.timings[name] = time.perf_counter() - step_started
-            results[name] = outcome
-            if on_step is not None:
-                on_step(name, outcome)
-            self.completed.append(name)
-            self._save_checkpoint(self.completed)
-        if len(self.completed) == len(self.steps):
-            self.clear_checkpoint()
-        return results
-
-    # -- flight data ---------------------------------------------------------
-
-    def flight_payload(self) -> Dict[str, object]:
-        """Per-step wall timings, the flight report's campaign section."""
-        steps = []
-        for name, _ in self.steps:
-            if name not in self.timings:
-                continue
-            step: Dict[str, object] = {
-                "name": name,
-                "seconds": round(self.timings[name], 6),
-            }
-            if self.repetitions and name in self.repetitions:
-                step["repetitions"] = self.repetitions[name]
-            steps.append(step)
-        return {
-            "version": FLIGHT_VERSION,
-            "context": self.context,
-            "steps": steps,
-            "total_seconds": round(
-                sum(step["seconds"] for step in steps), 6
-            ),
-            "skipped": list(self.skipped),
-        }
-
-    def write_flight_data(self, path: Path = DEFAULT_FLIGHT_DATA) -> Path:
-        """Persist the timings next to the checkpoint (atomically)."""
-        path = Path(path)
-        payload = json.dumps(self.flight_payload(), indent=1)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent or Path(".")
-        )
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-        return path
+    steps: List[Dict[str, object]] = []
+    for name, seconds in timings.items():
+        step: Dict[str, object] = {"name": name, "seconds": round(seconds, 6)}
+        if repetitions > 1:
+            step["repetitions"] = repetitions
+        steps.append(step)
+    payload = {
+        "version": FLIGHT_VERSION,
+        "steps": steps,
+        "total_seconds": round(sum(s["seconds"] for s in steps), 6),
+    }
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=path.name + ".", suffix=".tmp", dir=path.parent or Path(".")
+    )
+    with os.fdopen(fd, "w") as handle:
+        handle.write(json.dumps(payload, indent=1))
+    os.replace(tmp_name, path)
+    return path

@@ -20,9 +20,8 @@ Usage::
     python -m repro.harness.cli cache-info
 
 Results are cached on disk, so regenerating a second figure that shares
-configurations with the first is nearly instant.  ``all`` checkpoints its
-progress: a killed campaign resumes from the last completed experiment
-(pass ``--no-resume`` to start over).
+configurations with the first is nearly instant, and a killed campaign
+resumes from the last finished simulation: re-run the same command.
 
 Every command plans the simulations it needs and runs them before the
 tables are rendered serially from the cache.  ``--jobs N`` (default: the
@@ -55,17 +54,18 @@ simulation failed or was quarantined, named on stderr (remaining jobs
 are still drained and cached, so a re-run only repeats the failures),
 4 the fidelity scoreboard drifted out of its tolerance band (``report
 --flight --check``), 5 the campaign was interrupted (SIGTERM/SIGINT) and
-stopped gracefully at a resumable checkpoint, 6 an SLO check failed
-(``slo check``).
+stopped gracefully (finished simulations are cached; re-run to resume),
+6 an SLO check failed (``slo check``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
-from repro.harness.campaign import Campaign, prefetch_experiments
+from repro.harness.campaign import prefetch_experiments, write_flight_data
 from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS  # re-exported for callers
 from repro.harness.report import format_table
@@ -125,8 +125,8 @@ def _prefetch(
         print(f"run table: {n_rows} row(s) -> {run_table}", file=sys.stderr)
     if shutdown is not None and shutdown.requested:
         print(
-            "interrupted: campaign checkpointed; completed simulations are "
-            "cached, re-run to resume",
+            "interrupted: completed simulations are cached, re-run to "
+            "resume",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -1277,11 +1277,6 @@ def main(argv=None) -> int:
         "(default: REPRO_JOBS or the CPU count; 1 disables the pool)",
     )
     parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="ignore a previous `all` campaign checkpoint and start over",
-    )
-    parser.add_argument(
         "--experiments",
         default=None,
         metavar="KEYS",
@@ -1413,45 +1408,23 @@ def main(argv=None) -> int:
             )
             if status != EXIT_OK:
                 return status
-            # A campaign context ties the checkpoint to these parameters,
-            # so a resume never skips work done at different settings.
-            context = (
-                f"accesses={params.accesses_per_core} seed={params.seed} "
-                f"fault_rate={params.fault_rate} ecc={params.ecc}"
-                + (f" experiments={','.join(keys)}" if args.experiments else "")
-                + (
-                    f" repetitions={args.repetitions}"
-                    if args.repetitions > 1
-                    else ""
-                )
-            )
-            campaign = Campaign(
-                [(key, lambda k=key: run_one(k, params)) for key in keys],
-                context=context,
-                resume=not args.no_resume,
-                repetitions=(
-                    {key: args.repetitions for key in keys}
-                    if args.repetitions > 1
-                    else None
-                ),
-            )
-            campaign.run(should_stop=lambda: shutdown.requested)
-            if campaign.interrupted:
-                print(
-                    f"interrupted: campaign checkpointed after "
-                    f"{len(campaign.completed)} of {len(campaign.steps)} "
-                    f"experiments; re-run to resume",
-                    file=sys.stderr,
-                )
-                return EXIT_INTERRUPTED
-            if campaign.skipped:
-                print(
-                    f"(resumed: skipped {len(campaign.skipped)} "
-                    f"already-completed experiment(s): "
-                    f"{', '.join(campaign.skipped)})"
-                )
+            # Every simulation is cached by now: rendering is replay.  A
+            # stop between tables exits 5; a re-run renders them all.
+            timings = {}
+            for key in keys:
+                if shutdown.requested:
+                    print(
+                        f"interrupted after rendering {len(timings)} of "
+                        f"{len(keys)} experiments; completed simulations "
+                        f"are cached, re-run to resume",
+                        file=sys.stderr,
+                    )
+                    return EXIT_INTERRUPTED
+                started = time.perf_counter()
+                run_one(key, params)
+                timings[key] = time.perf_counter() - started
             # per-step timings feed `report --flight`'s campaign section
-            campaign.write_flight_data()
+            write_flight_data(timings, repetitions=args.repetitions)
         return EXIT_OK
 
     if args.experiment not in EXPERIMENTS:

@@ -276,11 +276,26 @@ def peek_cached(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
+    store: Optional[ShardedResultCache] = None,
 ) -> Optional[SimResult]:
-    """The cached result for this run, or None — never simulates."""
+    """The cached result for this run, or None — never simulates.
+
+    With ``store`` (the shard store, held by a long-lived caller such as
+    the campaign daemon), a hit counts only while its shard still exists:
+    another process may have invalidated the cell since this one read
+    it.  With the disk cache off, memory is the store and is trusted.
+    """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)
-    return _lookup(key, json.dumps(key))
+    disk_key = json.dumps(key)
+    hit = _lookup(key, disk_key)
+    if (
+        hit is not None and store is not None and _DISK_CACHE
+        and not store.exists(disk_key)
+    ):
+        forget(workload, config_name, scale=scale, params=params)
+        return None
+    return hit
 
 
 def seed_cache(
@@ -357,9 +372,9 @@ def forget(
     """Forget one cached result in this process only (memory, loaded
     store); its shard on disk is untouched.
 
-    A long-lived daemon worker calls this before running a job the
-    daemon found missing: a copy the worker kept from an earlier run
-    must not answer for a cell another process has since invalidated.
+    A pool worker calls this before running a job: a worker can outlive
+    many jobs, and a copy it kept from an earlier run must not answer
+    for a cell another process has since invalidated.
     """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)

@@ -3,15 +3,18 @@
 One long-lived process turns the exec engine into shared infrastructure:
 many clients submit campaigns over HTTP, one supervised worker pool runs
 the misses, and the same sharded result store the CLI and its workers
-write (``.sim_cache.d/``) answers repeats in microseconds.  The contract, endpoint by endpoint:
+write (``.sim_cache.d/``) answers repeats in microseconds.  The
+contract, endpoint by endpoint:
 
 * ``POST /campaigns`` — submit experiment names and/or raw workload ×
   config jobs.  The planner dedupes within the submission; the service
   dedupes *across* clients three ways: result-cache hits complete at
-  submission time without touching the pool, jobs already in flight for
-  another campaign are subscribed to (``service.jobs.deduped``), and
-  everything else enters a bounded queue.  A full queue answers **429**
-  with ``Retry-After`` — backpressure, not buffering.
+  submission time without touching the pool (a hit from this process's
+  memory counts only while its shard exists, so a cell invalidated by
+  another process runs again), jobs already in flight for another
+  campaign are subscribed to (``service.jobs.deduped``), and everything
+  else enters a bounded queue.  A full queue answers **429** with
+  ``Retry-After`` — backpressure, not buffering.
 * ``GET /campaigns/{id}/events`` — chunked NDJSON: per-job completions
   interleaved with rolling :class:`~repro.exec.progress.ProgressSnapshot`
   heartbeats (ops/s, p50/p95 wall-clock) — the same struct the CLI
@@ -19,14 +22,20 @@ write (``.sim_cache.d/``) answers repeats in microseconds.  The contract, endpoi
 * ``GET /healthz`` / ``GET /metrics`` — result-cache stats, and the
   full ``service.*`` metrics registry.
 * SIGTERM (or ``POST /drain``) — graceful drain: stop admitting, give
-  in-flight jobs a grace window (each persists its own cache shard),
-  checkpoint the specs of unfinished campaigns, exit 0.  A restarted
-  daemon re-plans those specs and the cache answers everything that
-  already ran — bit-identical resume.
+  running jobs the grace window (each persists its own cache shard),
+  terminate the workers still running, checkpoint the specs of
+  unfinished campaigns, exit 0.  A restarted daemon re-plans those specs
+  and the cache answers everything that already ran — bit-identical
+  resume.
 
-Scheduling is fair per client: pending jobs live on per-client queues
-and the dispatcher round-robins between them, so one client submitting
-a thousand-job sweep cannot starve another's three-job smoke run.
+The jobs run on :func:`repro.exec.supervisor.supervise_pool`, the same
+supervised loop ``run_jobs`` uses: one loop for the daemon's whole life,
+on a background thread, pulling from per-client queues round-robin — so
+one client submitting a thousand-job sweep cannot starve another's
+three-job smoke run.  A crash is charged to the job whose worker died,
+a job that keeps crashing is quarantined after ``max_attempts``, and
+each outcome is handed back to the event loop, the only thread that
+touches campaign and cache state.
 """
 
 from __future__ import annotations
@@ -34,19 +43,23 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import secrets
+import signal
+import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.chaos import from_env as chaos_from_env
 from repro.exec.job import Job
-from repro.exec.scheduler import _execute_job, resolve_jobs
+from repro.exec.scheduler import resolve_jobs
 from repro.exec.supervisor import (
-    DEFAULT_SUPERVISOR, _mp_context, validate_result,
+    ShutdownFlag,
+    SupervisorPolicy,
+    incident_counters,
+    supervise_pool,
 )
 from repro.harness import runner as runner_mod
 from repro.obs import slo as slo_mod
@@ -89,19 +102,6 @@ def _result_payload(result: SimResult) -> Dict[str, object]:
     return dataclasses.asdict(result)
 
 
-def _execute_dispatched(job: Job) -> SimResult:
-    """Pool-worker entry point for a job the daemon's lookup missed.
-
-    Workers live as long as the daemon.  A copy of this cell in the
-    worker's own memory is one another process has since invalidated,
-    so drop it and go to the shard store (or simulate).
-    """
-    runner_mod.forget(
-        job.workload, job.config_name, scale=job.scale, params=job.params
-    )
-    return _execute_job(job)
-
-
 class SimService:
     """The daemon: HTTP front end, fair scheduler, shared caches."""
 
@@ -110,19 +110,22 @@ class SimService:
         self.workers = resolve_jobs(self.config.workers)
         self.registry = obs.MetricsRegistry()
         self.campaigns: Dict[str, CampaignState] = {}
+        # Pending jobs on per-client queues, pulled round-robin by the
+        # pool thread; ``_pending`` guards every change to them.
         self._queues: Dict[str, Deque[Job]] = {}
         self._rr: Deque[str] = deque()  # client round-robin order
+        self._pending = threading.Condition()
         self._runs: Dict[str, "_SharedRun"] = {}
         self._seq = 0
         self._draining = False
         self._started = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._wakeup: Optional[asyncio.Event] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._shutdown = ShutdownFlag()
+        self._pool_thread: Optional[threading.Thread] = None
+        self._store = runner_mod._store()
         self._stopped: Optional[asyncio.Event] = None
         self._tasks: set = set()
-        self._dispatcher: Optional[asyncio.Task] = None
         # the metric names the acceptance tests and docs rely on
         self._m_submitted = self.registry.counter("service.campaigns.submitted")
         self._m_completed = self.registry.counter("service.campaigns.completed")
@@ -134,6 +137,7 @@ class SimService:
         self._m_executed = self.registry.counter("service.jobs.executed")
         self._m_failed = self.registry.counter("service.jobs.failed")
         self._m_retried = self.registry.counter("service.jobs.retried")
+        self._m_incidents = incident_counters(self.registry, "service")
         self._m_requests = self.registry.counter("service.http.requests")
         self._m_rejected = self.registry.counter("service.backpressure.rejected")
         self._g_queue = self.registry.gauge("service.queue.depth")
@@ -189,17 +193,16 @@ class SimService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind, spin up the pool, resume checkpoints."""
-        self._slots = asyncio.Semaphore(self.workers)
-        self._wakeup = asyncio.Event()
+        """Bind, start the pool loop, resume checkpoints."""
+        self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_mp_context()
+        self._pool_thread = threading.Thread(
+            target=self._run_pool, name="repro-pool", daemon=True
         )
+        self._pool_thread.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
-        self._dispatcher = asyncio.create_task(self._dispatch())
         if self.config.resume:
             await self._resume_checkpoint()
 
@@ -214,17 +217,19 @@ class SimService:
         if self._draining:
             return
         self._draining = True
-        self._wakeup.set()
         if self._server is not None:
             self._server.close()
-        # Give in-flight jobs their grace window; each one that finishes
-        # persists its own cache shard, shrinking what resume must redo.
-        deadline = time.monotonic() + self.config.grace
-        while self._tasks and time.monotonic() < deadline:
-            await asyncio.wait(
-                list(self._tasks),
-                timeout=max(0.05, deadline - time.monotonic()),
-            )
+        # The supervisor gives running jobs the grace window (each one
+        # that finishes persists its own cache shard, shrinking what
+        # resume must redo), then terminates the workers still running.
+        self._shutdown.trip(signal.SIGTERM)
+        with self._pending:
+            self._pending.notify_all()
+        if self._pool_thread is not None:
+            await asyncio.to_thread(self._pool_thread.join)
+        # outcomes the pool thread handed over before it returned
+        while self._tasks:
+            await asyncio.wait(list(self._tasks))
         unfinished = [
             campaign
             for campaign in self.campaigns.values()
@@ -246,10 +251,6 @@ class SimService:
             # wake any stream still blocked in wait_for_event
             async with campaign._event_cond:
                 campaign._event_cond.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
         if self._server is not None:
             await self._server.wait_closed()
         self.tracer.close()
@@ -324,7 +325,9 @@ class SimService:
             if job.job_id in self._runs:
                 inflight.append(job)
                 continue
-            hit = job.peek()
+            # another process may have invalidated a cell this process
+            # still remembers: a memory hit counts while its shard exists
+            hit = job.peek(store=self._store)
             if hit is not None:
                 cached[job.job_id] = hit
             else:
@@ -394,14 +397,15 @@ class SimService:
             run.enqueued_us = self._now_us()
             run.subscribers.append((campaign, job))
             self._runs[job.job_id] = run
-            queue = self._queues.get(client)
-            if queue is None:
-                queue = self._queues[client] = deque()
-                self._rr.append(client)
-            queue.append(job)
-        self._publish_gauges()
         if fresh:
-            self._wakeup.set()
+            with self._pending:
+                queue = self._queues.get(client)
+                if queue is None:
+                    queue = self._queues[client] = deque()
+                    self._rr.append(client)
+                queue.extend(self._runs[job.job_id].job for job in fresh)
+                self._pending.notify()
+        self._publish_gauges()
         await self._maybe_finalize(campaign)
         return campaign, {
             "cached": len(cached),
@@ -424,8 +428,29 @@ class SimService:
                 "service.queue.depth", client=client
             ).set(len(queue))
 
+    # -- the pool thread ------------------------------------------------------
+    #
+    # The daemon is both the job source and the incident sink of its one
+    # supervise_pool loop.  The loop never runs dry: only drain's
+    # ShutdownFlag ends it.
+
+    closed = False
+    running = 0  # jobs on the pool, as the pool thread last counted them
+
+    def pull(self, timeout: float) -> Optional[Tuple[Job, Job]]:
+        """Job source: the next pending job, round-robin over clients
+        (fairness), waiting up to ``timeout`` seconds for one."""
+        with self._pending:
+            job = self._next_job()
+            if job is None and timeout > 0 and not self._draining:
+                self._pending.wait(timeout)
+                job = self._next_job()
+        if job is None:
+            return None
+        self._loop.call_soon_threadsafe(self._job_started, job)
+        return job, job
+
     def _next_job(self) -> Optional[Job]:
-        """Round-robin over clients with pending work (fairness)."""
         for _ in range(len(self._rr)):
             client = self._rr[0]
             self._rr.rotate(-1)
@@ -434,28 +459,42 @@ class SimService:
                 return queue.popleft()
         return None
 
-    async def _dispatch(self) -> None:
-        while not self._draining:
-            job = self._next_job()
-            if job is None:
-                self._wakeup.clear()
-                await self._wakeup.wait()
-                continue
-            await self._slots.acquire()
-            if self._draining:
-                self._slots.release()
-                break
-            self._publish_gauges()
-            task = asyncio.create_task(self._run_job(job))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+    def event(self, name: str, **fields) -> None:
+        """A supervisor incident, onto the daemon trace (which only the
+        loop thread writes)."""
+        if self.tracer.enabled:
+            self._loop.call_soon_threadsafe(
+                lambda: self.tracer.instant(
+                    name, "daemon", self._now_us(), **fields
+                )
+            )
 
-    async def _run_job(self, job: Job) -> None:
-        """Execute one job on the pool; validate, retry, then finalize."""
-        loop = asyncio.get_running_loop()
-        error: Optional[str] = None
-        result: Optional[SimResult] = None
-        attempts = 0
+    def _run_pool(self) -> None:
+        """The pool thread: one supervised loop for the daemon's life.
+
+        Chaos arms from ``REPRO_CHAOS`` as on every CLI command; there is
+        no per-job deadline, and ``grace`` bounds the drain.
+        """
+        supervise_pool(
+            self, self, self.workers,
+            record=self._record, counters=self._m_incidents,
+            supervisor=SupervisorPolicy(grace=self.config.grace),
+            chaos=chaos_from_env(), shutdown=self._shutdown,
+        )
+
+    def _record(self, job: Job, result, error, _source, attempts) -> None:
+        """Supervisor callback (pool thread): hand the outcome to the loop,
+        which alone touches campaign and cache state."""
+        self._loop.call_soon_threadsafe(
+            self._spawn, self._finalize_run(job, result, error, attempts)
+        )
+
+    def _spawn(self, coro) -> None:
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _job_started(self, job: Job) -> None:
         run = self._runs.get(job.job_id)
         if run is not None:
             run.started_us = self._now_us()
@@ -472,53 +511,11 @@ class SimService:
                     span_id=f"{job.trace.span_id}.q",
                     parent_id=job.trace.parent_id,
                 )
-        try:
-            while attempts < DEFAULT_SUPERVISOR.max_attempts:
-                attempts += 1
-                try:
-                    result = await loop.run_in_executor(
-                        self._pool, _execute_dispatched, job
-                    )
-                except BrokenProcessPool:
-                    self._rebuild_pool()
-                    self.registry.counter(
-                        "service.supervisor.pool_rebuilds"
-                    ).inc()
-                    error = "worker pool broke (rebuilt)"
-                    result = None
-                    continue
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - any failure is an outcome
-                    error = f"{type(exc).__name__}: {exc}"
-                    result = None
-                    break
-                problem = validate_result(result)
-                if problem is None:
-                    error = None
-                    break
-                runner_mod.invalidate(
-                    job.workload, job.config_name,
-                    scale=job.scale, params=job.params,
-                )
-                error = f"corrupt result: {problem}"
-                result = None
-            if attempts > 1:
-                self._m_retried.inc(attempts - 1)
-            await self._finalize_run(job, result, error)
-        finally:
-            self._slots.release()
-            self._publish_gauges()
-
-    def _rebuild_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_mp_context()
-        )
+        self._publish_gauges()
 
     async def _finalize_run(
-        self, job: Job, result: Optional[SimResult], error: Optional[str]
+        self, job: Job, result: Optional[SimResult], error: Optional[str],
+        attempts: int = 1,
     ) -> None:
         """Seed every cache layer, then deliver to all subscribed campaigns.
 
@@ -543,6 +540,8 @@ class SimService:
             )
             self.tracer.flush()
         self.history.tick(self.registry)
+        if attempts > 1:
+            self._m_retried.inc(attempts - 1)
         if result is not None and error is None:
             runner_mod.seed_cache(
                 job.workload, job.config_name, result,
@@ -564,6 +563,7 @@ class SimService:
             await self._complete_for(
                 campaign, sub_job, source,
                 payload=payload, error=error, wall_ms=wall_ms,
+                attempts=attempts,
             )
 
     async def _complete_for(
@@ -575,6 +575,7 @@ class SimService:
         payload: Optional[Dict[str, object]] = None,
         error: Optional[str] = None,
         wall_ms: Optional[float] = None,
+        attempts: Optional[int] = None,
     ) -> None:
         state = campaign.states[job.job_id]
         state.source = source
@@ -593,6 +594,7 @@ class SimService:
                 "source": source,
                 "wall_ms": wall_ms,
                 "error": error,
+                "attempts": attempts,
             }
         )
         await campaign.emit(

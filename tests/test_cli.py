@@ -71,6 +71,14 @@ def test_retry_and_timeout_flags_are_usage_errors():
         assert exc_info.value.code == 2
 
 
+def test_no_resume_is_a_usage_error_outside_serve():
+    # `all` keeps no checkpoint: a re-run resumes from the result cache
+    for argv in (["all", "--no-resume"], ["fig13", "--no-resume"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+
+
 def test_simulation_failure_exit_code(capsys, monkeypatch):
     from repro.exec import build_plan
     from repro.harness.runner import set_run_executor

@@ -14,7 +14,8 @@ from repro.analysis.flight import (
     render_markdown,
     write_flight_report,
 )
-from repro.harness.campaign import Campaign
+from repro.harness import cli
+from repro.harness.campaign import write_flight_data
 from repro.obs.fidelity import (
     build_scoreboard,
     detect_drift,
@@ -173,12 +174,9 @@ class TestLoadCampaignFlight:
         assert load_campaign_flight(bad) is None
 
     def test_roundtrip_from_campaign(self, tmp_path):
-        campaign = Campaign(
-            [("fig10", lambda: None), ("fig13", lambda: None)],
-            checkpoint_path=tmp_path / "ckpt.json",
+        out = write_flight_data(
+            {"fig10": 1.25, "fig13": 0.75}, path=tmp_path / "flight.json"
         )
-        campaign.timings = {"fig10": 1.25, "fig13": 0.75}
-        out = campaign.write_flight_data(tmp_path / "flight.json")
         payload = load_campaign_flight(out)
         assert payload is not None
         names = [step["name"] for step in payload["steps"]]
@@ -187,34 +185,30 @@ class TestLoadCampaignFlight:
 
 
 class TestCampaignTimings:
-    def test_run_records_per_step_wall_time(self, tmp_path):
-        campaign = Campaign(
-            [("step_a", lambda: "a"), ("step_b", lambda: "b")],
-            checkpoint_path=tmp_path / "ckpt.json",
-        )
-        campaign.run()
-        assert set(campaign.timings) == {"step_a", "step_b"}
-        assert all(t >= 0 for t in campaign.timings.values())
-        payload = campaign.flight_payload()
-        assert [s["name"] for s in payload["steps"]] == ["step_a", "step_b"]
-        assert payload["skipped"] == []
+    def test_run_records_per_step_wall_time(self, tmp_path, monkeypatch):
+        # `cli all` times each experiment's rendering into the flight data
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["all", "--experiments", "fig4"]) == 0
+        payload = load_campaign_flight(tmp_path / ".campaign_flight.json")
+        assert [s["name"] for s in payload["steps"]] == ["fig4"]
+        assert payload["steps"][0]["seconds"] >= 0
+        assert "repetitions" not in payload["steps"][0]
 
     def test_skipped_steps_have_no_timing(self, tmp_path):
-        first = Campaign(
-            [("step_a", lambda: "a")],
-            checkpoint_path=tmp_path / "ckpt.json",
-            context="ctx",
+        # only rendered experiments are timed: one a stopped campaign
+        # never reached has no entry, and there is no skip list
+        out = write_flight_data({"step_b": 0.5}, path=tmp_path / "f.json")
+        payload = load_campaign_flight(out)
+        assert [s["name"] for s in payload["steps"]] == ["step_b"]
+        assert "skipped" not in payload
+
+    def test_repetition_campaign_tags_every_step(self, tmp_path):
+        out = write_flight_data(
+            {"fig10": 1.0, "fig13": 2.0}, repetitions=3,
+            path=tmp_path / "f.json",
         )
-        # simulate a killed campaign: step_a checkpointed as complete
-        first._save_checkpoint(["step_a"])
-        second = Campaign(
-            [("step_a", lambda: "a"), ("step_b", lambda: "b")],
-            checkpoint_path=tmp_path / "ckpt.json",
-            context="ctx",
-        )
-        second.run()
-        assert "step_a" not in second.timings
-        assert second.flight_payload()["skipped"] == ["step_a"]
+        counts = flight.campaign_repetition_counts(load_campaign_flight(out))
+        assert counts == {"fig10": 3, "fig13": 3}
 
 
 class TestRepetitionReporting:

@@ -110,6 +110,8 @@ class TestKillResume:
         resumed = _run_to_completion(work)
         assert resumed.returncode == 0, resumed.stderr
         assert _normalized_results(work) == reference["results"]
+        # the re-run renders every table, not only the ones not yet shown
+        assert resumed.stdout == reference["stdout"]
 
     def test_clean_rerun_is_a_full_cache_hit(self, tmp_path, reference):
         # control: the reference directory itself re-runs from cache only
@@ -121,6 +123,5 @@ class TestKillResume:
         assert again.returncode == 0, again.stderr
         assert "resumed: skipped" not in first.stdout
         assert _normalized_results(rerun_cwd) == reference["results"]
-        # a finished campaign clears its checkpoint, so the rerun replays
-        # every step from cache and the tables are byte-identical
+        # the rerun replays every step from cache: byte-identical tables
         assert again.stdout == first.stdout

@@ -17,8 +17,13 @@ The load-bearing assertions mirror the service's contract:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +37,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.sim.engine import SimulationParams, run_workload
 
 TINY = {"accesses": 120, "seed": 9}
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _specs(*pairs, **overrides):
@@ -304,6 +310,167 @@ class TestSingleResultStore:
             stale["elapsed_s"], stale["wall_clock_utc"]
         )
         assert not isolated_cache.with_suffix(".cas").exists()
+
+
+    def test_cell_invalidated_by_another_process_is_resimulated(
+        self, one_worker_daemon, isolated_cache
+    ):
+        # the daemon remembers the cell it finalized; a CLI or script in
+        # another process removes only the shard
+        daemon = one_worker_daemon
+        jobs = _specs(("bc_twi", "dice"))
+        first = daemon.client.run_campaign(jobs=jobs, client="xproc")
+        assert first["final"]["status"] == "completed"
+        executed = daemon.counters()["service.jobs.executed"]
+        code = (
+            "from repro.harness import runner\n"
+            "from repro.sim.engine import SimulationParams\n"
+            "runner.invalidate('bc_twi', 'dice', params=SimulationParams("
+            "accesses_per_core=120, seed=9))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_SRC)
+        env["REPRO_CACHE_PATH"] = str(isolated_cache)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        assert runner_mod.cache_stats()["shards"] == 0
+        second = daemon.client.submit(jobs=jobs, client="xproc")
+        assert (second["cached"], second["queued"]) == (0, 1)
+        events = list(daemon.client.events(str(second["id"])))
+        assert events[-1]["status"] == "completed"
+        assert [e["source"] for e in events if e["event"] == "job"] == ["run"]
+        assert daemon.counters()["service.jobs.executed"] == executed + 1
+        assert runner_mod.cache_stats()["shards"] == 1
+
+
+def _crash_once(flag, victim):
+    """A run executor whose ``victim`` workload kills its worker once,
+    while the other jobs are still running (they sleep first)."""
+
+    def executor(workload, config, params):
+        if workload == victim and not flag.exists():
+            time.sleep(0.3)
+            flag.touch()
+            os._exit(13)
+        if workload != victim:
+            time.sleep(1.0)
+        return run_workload(workload, config, params)
+
+    return executor
+
+
+def _crash_always(victim):
+    def executor(workload, config, params):
+        if workload == victim:
+            time.sleep(0.2)
+            os._exit(13)
+        return run_workload(workload, config, params)
+
+    return executor
+
+
+class TestSupervisedRecovery:
+    """The daemon's jobs run on the supervised pool: crashes are charged
+    to the job whose worker died, poison jobs are quarantined, and a drain
+    terminates workers that outlive the grace window."""
+
+    def _daemon(self, tmp_path, **overrides):
+        config = dict(
+            port=0, workers=2, grace=5.0, checkpoint=tmp_path / "ckpt.json"
+        )
+        config.update(overrides)
+        return DaemonHandle(ServiceConfig(**config)).start()
+
+    def test_one_crash_charges_only_the_crashed_job(
+        self, isolated_cache, tmp_path
+    ):
+        set_run_executor(_crash_once(tmp_path / "crashed", "bc_twi"))
+        handle = self._daemon(tmp_path)
+        try:
+            events = []
+            doc = handle.client.run_campaign(
+                jobs=_specs(("bc_twi", "dice"), ("cc_twi", "base")),
+                client="crash", on_event=events.append,
+            )
+            counters = handle.counters()
+        finally:
+            handle.drain()
+        assert (tmp_path / "crashed").exists()
+        assert doc["final"]["status"] == "completed"
+        assert counters["service.supervisor.pool_rebuilds"] == 1
+        assert counters["service.jobs.retried"] == 1
+        attempts = {
+            e["label"]: e["attempts"] for e in events if e["event"] == "job"
+        }
+        assert attempts == {"bc_twi × dice": 2, "cc_twi × base": 1}
+        params = SimulationParams(accesses_per_core=120, seed=9)
+        for payload in doc["results"].values():
+            manifest = payload["manifest"]
+            direct = run_workload(
+                manifest["workload"],
+                runner_mod.resolve_config(manifest["config"]),
+                params,
+            )
+            assert runner_mod._result_from_dict(payload) == direct
+
+    def test_persistent_crasher_is_quarantined_and_the_rest_finish(
+        self, isolated_cache, tmp_path
+    ):
+        set_run_executor(_crash_always("bc_twi"))
+        handle = self._daemon(tmp_path)
+        try:
+            events = []
+            doc = handle.client.run_campaign(
+                jobs=_specs(
+                    ("bc_twi", "dice"), ("cc_twi", "base"), ("mix1", "base")
+                ),
+                client="poison", on_event=events.append,
+            )
+            jobs = {e["label"]: e for e in events if e["event"] == "job"}
+            assert doc["final"]["status"] == "failed"
+            poison = jobs.pop("bc_twi × dice")
+            assert poison["status"] == "failed"
+            assert "quarantined after 3 failed attempt(s)" in poison["error"]
+            assert "exit code 13" in poison["error"]
+            assert {e["status"] for e in jobs.values()} == {"done"}
+            # the daemon still admits and runs new work
+            again = handle.client.run_campaign(
+                jobs=_specs(("pr_twi", "base")), client="after"
+            )
+            assert again["final"]["status"] == "completed"
+        finally:
+            handle.drain()
+
+    def test_drain_terminates_a_hung_worker_within_grace(
+        self, isolated_cache, tmp_path
+    ):
+        before = {p.pid for p in multiprocessing.active_children()}
+
+        def hang(workload, config, params):
+            time.sleep(25.0)
+            return run_workload(workload, config, params)
+
+        set_run_executor(hang)
+        grace = 1.0
+        handle = self._daemon(tmp_path, workers=1, grace=grace)
+        handle.client.submit(jobs=_specs(("bc_twi", "base")), client="hang")
+        deadline = time.monotonic() + 10
+        while not [
+            p for p in multiprocessing.active_children()
+            if p.pid not in before
+        ]:
+            assert time.monotonic() < deadline, "no worker started"
+            time.sleep(0.05)
+        time.sleep(0.5)  # the worker is now inside the hung job
+        started = time.monotonic()
+        handle.drain()
+        while [
+            p for p in multiprocessing.active_children()
+            if p.pid not in before
+        ]:
+            assert time.monotonic() - started < grace + 5.0, (
+                "a pool worker outlived the drain"
+            )
+            time.sleep(0.05)
 
 
 class TestStreamingAndIntrospection:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
 import signal
 
 import pytest
@@ -48,6 +49,25 @@ def _jobs(n=3):
         ("mcf", "dice"), ("lbm", "base"),
     ]
     return [make_job(wl, cfg, params=TINY) for wl, cfg in pairs[:n]]
+
+
+def _inherit_then_init():
+    import os
+    import socket
+
+    from repro.exec.supervisor import _worker_init
+
+    with graceful_signals(ShutdownFlag()):
+        ours, _theirs = socket.socketpair()
+        ours.setblocking(False)
+        signal.set_wakeup_fd(ours.fileno())
+        _worker_init()
+        ok = (
+            signal.set_wakeup_fd(-1) == -1
+            and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            and signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        )
+        os._exit(0 if ok else 1)
 
 
 def _forced(tmp_path, fault, job, **kw):
@@ -182,6 +202,57 @@ class TestWatchdog:
         report = last_report()
         assert report.watchdog_kills >= 1
         assert report.quarantined == [jobs[0].describe()]
+
+    def test_charged_rebuilds_do_not_spend_the_rebuild_budget(
+        self, isolated_cache, tmp_path
+    ):
+        # every job hangs once; at one worker each watchdog kill is a pool
+        # rebuild, but one charged to the hung job, so three of them must
+        # not exhaust a budget of two and fail the jobs still queued
+        jobs = _jobs(3)
+        chaos = ChaosPolicy(
+            rate=1.0,
+            classes=("hang",),
+            max_faulty_attempts=1,
+            ledger_path=str(tmp_path / "ledger.jsonl"),
+        )
+        outcomes = run_jobs(
+            jobs,
+            max_workers=1,
+            chaos=chaos,
+            supervisor=SupervisorPolicy(deadline=1.0, max_pool_rebuilds=2),
+        )
+        assert [o.ok for o in outcomes] == [True] * len(jobs)
+        assert [o.attempts for o in outcomes] == [2] * len(jobs)
+        assert last_report().watchdog_kills == len(jobs)
+
+    def test_watchdog_kill_lands_under_graceful_signals(
+        self, isolated_cache, tmp_path
+    ):
+        # a forked worker must not keep the campaign's SIGTERM latch: the
+        # supervisor's SIGTERM has to stop a hung worker, not be ignored
+        before = {p.pid for p in multiprocessing.active_children()}
+        jobs = _jobs(1)
+        chaos = _forced(tmp_path, "hang", jobs[0], hang_seconds=30.0)
+        with graceful_signals(ShutdownFlag()):
+            outcomes = run_jobs(
+                jobs, max_workers=1, chaos=chaos,
+                supervisor=SupervisorPolicy(deadline=1.0),
+            )
+        assert outcomes[0].ok and outcomes[0].attempts == 2
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.pid not in before
+        ]
+
+    def test_worker_signal_handling_is_reset(self):
+        # run in a child that first installs what a worker inherits from
+        # `cli all` (the graceful latch) and from `cli serve` (a wakeup fd)
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_inherit_then_init)
+        child.start()
+        child.join(30)
+        assert child.exitcode == 0
 
     def test_no_deadline_means_no_watchdog(self, isolated_cache):
         outcomes = run_jobs(_jobs(2), max_workers=2)
